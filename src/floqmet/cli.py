@@ -250,7 +250,8 @@ def cmd_qfi(args) -> int:
     rows, failures = run_scan(spec)
     write_table(rows, scan_columns(spec), args.out, args.format)
     if failures:
-        return (EXIT_INVARIANT if "InvariantViolation" in rows[0]["error"]
+        return (EXIT_INVARIANT
+                if any("InvariantViolation" in row["error"] for row in rows)
                 else EXIT_POINT_FAILURES)
     return EXIT_OK
 

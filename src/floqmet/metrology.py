@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sambe import PeriodicHamiltonian, build_floquet_matrix
-from .spectral import FloquetSpectrum, amplitude_table, diagonalize
+from .spectral import FloquetSpectrum, diagonalize
 from .propagator import evolve
 
 DEFAULT_N_CUT = 50
@@ -27,8 +27,6 @@ PAIRING_ABORT_OVERLAP = 0.5
 PAIRING_RELIABLE_OVERLAP = 0.95
 PRESYM_WARN = 1e-4
 CFI_PROB_FLOOR = 1e-12
-
-GROUND_PROBE = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 
 
 class PairingError(RuntimeError):
@@ -109,7 +107,11 @@ def local_mean(values, window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
 
 
 class _ParameterShift:
-    """Spectra and amplitude tables at x +/- delta for one parameter."""
+    """Paired spectra at x +/- delta for one parameter.
+
+    Only the spectra are kept; the dU/dx contraction reads their eigenvector
+    tables directly, so no amplitude table is ever built.
+    """
 
     def __init__(self, model: PeriodicHamiltonian, param: str, n_cut: int,
                  delta: float):
@@ -124,8 +126,6 @@ class _ParameterShift:
         self.model_plus = model.with_params(**{param: x0 + delta})
         self.spec_minus = diagonalize(build_floquet_matrix(self.model_minus, n_cut))
         self.spec_plus = diagonalize(build_floquet_matrix(self.model_plus, n_cut))
-        self.table_minus = amplitude_table(self.spec_minus).entries
-        self.table_plus = amplitude_table(self.spec_plus).entries
         self._check_pairing()
 
     def _check_pairing(self) -> None:
@@ -175,6 +175,12 @@ class EstimationSession:
         identity  f+g+h+ - f-g-h- = Df (gh)bar + fbar (Dg hbar + gbar Dh)
         attributes the difference to eigenmodes, quasienergies, and the
         multi-photon ladder without any telescoping error.
+
+        Every weight is rank one in (alpha, k), so each sum over B factors
+        through the eigenvector table D[k, gamma, alpha]:
+        sum_{alpha,k} B g_alpha h_k = ((sum_k h_k D_k) * g) @ D_0^dagger.
+        The tables B are never formed; only the h vectors that differ
+        between the two shifted spectra need their own sector sum.
         """
         shift = self.shifts[param]
         sm, sp = shift.spec_minus, shift.spec_plus
@@ -183,29 +189,47 @@ class EstimationSession:
         g_p = np.exp(-1j * sp.eigenvalues * t)
         h_m = np.exp(1j * k * sm.omega * t)
         h_p = np.exp(1j * k * sp.omega * t)
+        g_bar, dg = 0.5 * (g_p + g_m), g_p - g_m
+        ladder_moves = sp.omega != sm.omega  # Dh is identically zero otherwise
         inv = 1.0 / (2.0 * shift.delta)
 
-        gh_bar = 0.5 * (np.outer(g_p, h_p) + np.outer(g_m, h_m))
-        b_bar = 0.5 * (shift.table_plus + shift.table_minus)
-        db = shift.table_plus - shift.table_minus
+        # distinct h vectors: h+, h-, hbar, Dh, or the single shared h
+        hs = (np.stack([h_p, h_m, 0.5 * (h_p + h_m), h_p - h_m])
+              if ladder_moves else h_p[None])
+        parts = []
+        for spec in (sp, sm):
+            view = spec.sector_view()                 # [k, gamma, alpha]
+            out = view[self.n_cut].conj().T           # [alpha, beta]
+            y = (hs @ view.reshape(view.shape[0], -1)).reshape(
+                len(hs), *view.shape[1:])             # [h, gamma, alpha]
+            if ladder_moves:
+                weights = [0.5 * (y[0] * g_p + y[1] * g_m), y[2] * dg,
+                           y[3] * g_bar]
+            else:
+                weights = [0.5 * (y[0] * g_p + y[0] * g_m), y[0] * dg]
+            parts.append(np.stack(weights) @ out)
+        plus, minus = parts
 
-        du_eig = np.einsum("akgb,ak->gb", db, gh_bar) * inv
-        du_quasi = np.einsum("akgb,ak->gb", b_bar,
-                             np.outer(g_p - g_m, 0.5 * (h_p + h_m))) * inv
-        du_mp = np.einsum("akgb,ak->gb", b_bar,
-                          np.outer(0.5 * (g_p + g_m), h_p - h_m)) * inv
+        du_eig = (plus[0] - minus[0]) * inv
+        du_quasi = 0.5 * (plus[1] + minus[1]) * inv
+        if ladder_moves:
+            du_mp = 0.5 * (plus[2] + minus[2]) * inv
+        else:
+            du_mp = np.zeros_like(du_eig)
         return du_eig, du_quasi, du_mp
 
-    def generator_set(self, param: str, t: float) -> GeneratorSet:
-        du_eig, du_quasi, du_mp = self._du_components(param, t)
-        u0_dag = self.propagator(t).conj().T
+    def _generator_from(self, param: str, t: float, u0: np.ndarray,
+                        parts) -> GeneratorSet:
+        """Generator set from U(t) and the three dU/dx components at t."""
+        du_eig, du_quasi, du_mp = parts
+        u0_dag = u0.conj().T
         total_raw = 1j * u0_dag @ (du_eig + du_quasi + du_mp)
         total, defect = _hermitize(total_raw)
         if defect > PRESYM_WARN:
             warnings.warn(
                 f"generator Hermiticity defect {defect:.2e} for {param!r} at "
                 f"t={t:.4g}; finite-difference step {self.delta:.1e} may be "
-                "pathological", stacklevel=2)
+                "pathological", stacklevel=3)
         shift = self.shifts[param]
         return GeneratorSet(
             param=param,
@@ -220,9 +244,9 @@ class EstimationSession:
             gauge_reliable=shift.gauge_reliable,
         )
 
-    def du_total(self, param: str, t: float) -> np.ndarray:
-        du_eig, du_quasi, du_mp = self._du_components(param, t)
-        return du_eig + du_quasi + du_mp
+    def generator_set(self, param: str, t: float) -> GeneratorSet:
+        return self._generator_from(param, t, self.propagator(t),
+                                    self._du_components(param, t))
 
     def cfi(self, param: str, t: float, probe,
             clock_omega: float = 1.0, stroboscopic: bool = True) -> float:
@@ -241,21 +265,27 @@ class EstimationSession:
                     f"t={t:.6g} is not a positive multiple of the clock period "
                     f"{t0:.6g}; use stroboscopic=False for general-t CFI")
         psi = _as_probe(probe, self.model.levels)
-        amps = self.propagator(t) @ psi
-        damps = self.du_total(param, t) @ psi
-        probs = np.abs(amps) ** 2
-        dprobs = 2.0 * np.real(amps.conj() * damps)
-        fisher = 0.0
-        for p, dp in zip(probs, dprobs):
-            if p < CFI_PROB_FLOOR:
-                if abs(dp) > 1e-6:
-                    warnings.warn(
-                        f"outcome with P={p:.1e} but dP={dp:.1e} dropped from "
-                        "the CFI sum (sign change through zero probability?)",
-                        stacklevel=2)
-                continue
-            fisher += dp * dp / p
-        return float(fisher)
+        return _level_basis_cfi(self.propagator(t),
+                                sum(self._du_components(param, t)), psi)
+
+
+def _level_basis_cfi(u0: np.ndarray, du: np.ndarray, psi: np.ndarray) -> float:
+    """Fisher information of the level populations of U psi, given dU/dx."""
+    amps = u0 @ psi
+    damps = du @ psi
+    probs = np.abs(amps) ** 2
+    dprobs = 2.0 * np.real(amps.conj() * damps)
+    fisher = 0.0
+    for p, dp in zip(probs, dprobs):
+        if p < CFI_PROB_FLOOR:
+            if abs(dp) > 1e-6:
+                warnings.warn(
+                    f"outcome with P={p:.1e} but dP={dp:.1e} dropped from "
+                    "the CFI sum (sign change through zero probability?)",
+                    stacklevel=3)
+            continue
+        fisher += dp * dp / p
+    return float(fisher)
 
 
 @dataclass
@@ -363,20 +393,23 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
     are asserted before the report is returned; a report is never emitted in
     a violated state.  Pass an existing `session` to reuse diagonalizations
     across times.
+
+    U(t) is evaluated once and each parameter's dU/dx split once; the
+    generator and the CFI both read those values.  The CFI is the general-t
+    value, so `clock_omega` does not change the report.
     """
     if session is None:
         session = EstimationSession(model, params, n_cut, delta)
     psi = _as_probe(probe, model.levels)
-    gens = {p: session.generator_set(p, t) for p in session.params}
+    u0 = session.propagator(t)
 
-    t0 = 2.0 * math.pi / clock_omega
-    stroboscopic = abs(t / t0 - round(t / t0)) <= 1e-9 and round(t / t0) >= 1
-
+    gens: dict[str, GeneratorSet] = {}
     estimates: dict[str, ParameterEstimate] = {}
-    for p, gen in gens.items():
-        est = qfi(gen, psi)
-        est.cfi = session.cfi(p, t, psi, clock_omega=clock_omega,
-                              stroboscopic=stroboscopic)
+    for p in session.params:
+        parts = session._du_components(p, t)
+        gens[p] = session._generator_from(p, t, u0, parts)
+        est = qfi(gens[p], psi)
+        est.cfi = _level_basis_cfi(u0, sum(parts), psi)
         estimates[p] = est
 
     incomp = {}

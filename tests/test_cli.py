@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from floqmet import cli
 from floqmet.cli import (ScanSpec, fit_scaling, fmt17, main, parse_grid,
                          parse_probe, run_scan, scan_columns)
+from floqmet.metrology import InvariantViolation
 
 
 def run_cli(*args):
@@ -73,6 +75,26 @@ def test_qfi_command_json(tmp_path):
     assert float(row["bound_b"]) == pytest.approx(82.673, abs=1e-2)
     assert float(row["omega_b_omega"]) == pytest.approx(1.3266, abs=1e-3)
     assert row["error"] == ""
+
+
+def test_qfi_exit_code_reads_every_row(tmp_path, monkeypatch):
+    # an invariant violation on a later --t-grid row still exits with 2
+    real_report = cli.estimation_report
+
+    def report(model, params, probe, t, **kwargs):
+        if t > 1.5 * math.pi:
+            raise InvariantViolation("forced failure on a later row")
+        return real_report(model, params, probe, t, **kwargs)
+
+    monkeypatch.setattr(cli, "estimation_report", report)
+    out = tmp_path / "qfi.csv"
+    code = main(["qfi", "--model", "rotating", "--ncut", "10",
+                 "--t-grid", f"{math.pi}:{2 * math.pi}:2", "--out", str(out)])
+    assert code == 2
+    header, first, second = out.read_text().splitlines()
+    error = header.split(",").index("error")
+    assert first.split(",")[error] == ""
+    assert "InvariantViolation" in second.split(",")[error]
 
 
 def test_scan_spec_grid_is_row_major():

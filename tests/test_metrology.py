@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from floqmet import metrology, spectral
 from floqmet.metrology import (EstimationSession, GeneratorSet,
                                estimation_report, generator, incompatibility,
                                local_mean, qfi, qfi_upper_bound, variance,
@@ -13,6 +14,7 @@ from floqmet.models import (SIGMA_X, SIGMA_Y, SIGMA_Z, RashbaModel,
                             rotating_incompatibility_analytic)
 from floqmet.reference import OracleConfig, generator_direct
 from floqmet.sambe import PeriodicHamiltonian
+from floqmet.spectral import amplitude_table
 
 PROBE = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PERIOD = 2 * math.pi
@@ -185,3 +187,89 @@ def test_session_reuse_is_consistent():
     b = estimation_report(model, ["b0"], PROBE, PERIOD)
     assert a.estimates["b0"].qfi_total == pytest.approx(
         b.estimates["b0"].qfi_total, rel=1e-12)
+
+
+def table_components(session, param, t):
+    """dU/dx split by the amplitude-table formula, as a reference."""
+    shift = session.shifts[param]
+    sm, sp = shift.spec_minus, shift.spec_plus
+    b_m = amplitude_table(sm).entries
+    b_p = amplitude_table(sp).entries
+    k = np.arange(-session.n_cut, session.n_cut + 1)
+    g_m = np.exp(-1j * sm.eigenvalues * t)
+    g_p = np.exp(-1j * sp.eigenvalues * t)
+    h_m = np.exp(1j * k * sm.omega * t)
+    h_p = np.exp(1j * k * sp.omega * t)
+    inv = 1.0 / (2.0 * shift.delta)
+    gh_bar = 0.5 * (np.outer(g_p, h_p) + np.outer(g_m, h_m))
+    b_bar = 0.5 * (b_p + b_m)
+    return (
+        np.einsum("akgb,ak->gb", b_p - b_m, gh_bar) * inv,
+        np.einsum("akgb,ak->gb", b_bar,
+                  np.outer(g_p - g_m, 0.5 * (h_p + h_m))) * inv,
+        np.einsum("akgb,ak->gb", b_bar,
+                  np.outer(0.5 * (g_p + g_m), h_p - h_m)) * inv,
+    )
+
+
+# delta = 1e-3 and a small n_cut leave FD-level Hermiticity defects; the
+# contraction identity is algebraic and holds regardless
+@pytest.mark.filterwarnings("ignore:generator Hermiticity defect")
+@pytest.mark.parametrize("n_cut", [6, 12])
+@pytest.mark.parametrize("model, params", [
+    (RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
+    (RashbaModel(2.0, 1.2, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
+    (RotatingFieldModel(0.5, 1.0).hamiltonian(), ["b", "omega"]),
+], ids=["rashba-transition", "rashba-strong", "rotating"])
+def test_contraction_matches_amplitude_tables(model, params, n_cut):
+    session = EstimationSession(model, params, n_cut=n_cut, delta=1e-3)
+    for param in params:
+        for t in (1.3, PERIOD, 2.5 * PERIOD, 3 * PERIOD):
+            parts = session._du_components(param, t)
+            reference = table_components(session, param, t)
+            scale = max(np.max(np.abs(r)) for r in reference)
+            for name, got, want in zip(
+                    ("eigenmode", "quasienergy", "multiphoton"),
+                    parts, reference):
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-10 * scale, (param, t, name, err, scale)
+            if param != "omega":
+                assert not np.any(parts[2])
+                assert not np.any(session.generator_set(param, t).multiphoton)
+
+
+def test_report_evaluates_propagator_once_without_tables(monkeypatch):
+    calls = {"evolve": 0, "amplitude_table": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metrology, "evolve",
+                        counting("evolve", metrology.evolve))
+    table = counting("amplitude_table", spectral.amplitude_table)
+    # every module binding, so an imported name is counted as well
+    for module in (spectral, metrology):
+        monkeypatch.setattr(module, "amplitude_table", table, raising=False)
+    estimation_report(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
+                      ["b0", "b1", "omega"], PROBE, PERIOD, n_cut=12)
+    assert calls == {"evolve": 1, "amplitude_table": 0}
+
+
+def test_reports_at_interleaved_times_match_standalone_calls():
+    model = RashbaModel(0.7, 0.4, 1.0).hamiltonian()
+    params = ["b0", "b1", "omega"]
+    session = EstimationSession(model, params, n_cut=12)
+    for t in (PERIOD, 1.3, PERIOD):
+        report = estimation_report(model, params, PROBE, t, session=session)
+        gens = {p: session.generator_set(p, t) for p in params}
+        for p in params:
+            est = report.estimates[p]
+            alone = qfi(gens[p], PROBE)
+            assert est.cfi == session.cfi(p, t, PROBE, stroboscopic=False)
+            assert est.qfi_total == alone.qfi_total
+            assert est.qfi_upper_bound == alone.qfi_upper_bound
+        assert report.incompatibility[("b0", "omega")] == incompatibility(
+            gens["b0"], gens["omega"], PROBE)
