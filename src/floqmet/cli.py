@@ -87,7 +87,7 @@ def write_table(rows: list[dict], columns: list[str], out, fmt: str) -> None:
 
 @dataclass
 class ScanSpec:
-    """One scan job: swept axes, fixed parameters, times, numerics, output."""
+    """One scan job: swept axes, fixed parameters, times and numerics."""
 
     model: str
     sweeps: list[tuple[str, float, float, int]]
@@ -97,10 +97,7 @@ class ScanSpec:
     fd_step: float = DEFAULT_FD_STEP
     probe: str = "gs-h0"
     clock_omega: float = 1.0
-    out: str | None = None
-    fmt: str = "csv"
     jobs: int = 1
-    smooth_window: int = DEFAULT_SMOOTH_WINDOW
 
     def grid_points(self) -> list[dict]:
         """Row-major cartesian product over the swept axes."""
@@ -111,32 +108,40 @@ class ScanSpec:
         return points
 
 
-def _scan_row(args) -> dict:
-    spec, values, t = args
+def _scan_point(args) -> list[dict]:
+    """One row per time for one grid point, from a single session."""
+    spec, values = args
     names = MODEL_PARAMS[spec.model]
-    row = {name: values[name] for name in names}
-    row.update(time=t, n_cut=spec.n_cut, fd_step=spec.fd_step,
-               probe=spec.probe, error="")
-    try:
-        model = make_model(spec.model, values)
-        probe = parse_probe(spec.probe)
-        report = estimation_report(
-            model, list(names), probe, t, n_cut=spec.n_cut, delta=spec.fd_step,
-            clock_omega=spec.clock_omega)
-        for p, est in report.estimates.items():
-            row[f"qfi_{p}"] = est.qfi_total
-            row[f"qfi_{p}_eigenmode"] = est.qfi_eigenmode
-            row[f"qfi_{p}_quasienergy"] = est.qfi_quasienergy
-            row[f"qfi_{p}_multiphoton"] = est.qfi_multiphoton
-            row[f"qfi_{p}_coherence"] = est.qfi_coherence
-            row[f"bound_{p}"] = est.qfi_upper_bound
-            row[f"cfi_{p}"] = est.cfi
-            row[f"gauge_reliable_{p}"] = int(est.gauge_reliable)
-        for (l, lp), om in report.incompatibility.items():
-            row[f"omega_{l}_{lp}"] = om
-    except Exception as exc:  # per-point failure: record, keep scanning
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+    params = list(names)
+    session = None
+    rows = []
+    for t in spec.times:
+        row = {name: values[name] for name in names}
+        row.update(time=t, n_cut=spec.n_cut, fd_step=spec.fd_step,
+                   probe=spec.probe, error="")
+        try:
+            if session is None:
+                session = EstimationSession(make_model(spec.model, values),
+                                            params, spec.n_cut, spec.fd_step)
+            probe = parse_probe(spec.probe)
+            report = estimation_report(session.model, params, probe, t,
+                                       clock_omega=spec.clock_omega,
+                                       session=session)
+            for p, est in report.estimates.items():
+                row[f"qfi_{p}"] = est.qfi_total
+                row[f"qfi_{p}_eigenmode"] = est.qfi_eigenmode
+                row[f"qfi_{p}_quasienergy"] = est.qfi_quasienergy
+                row[f"qfi_{p}_multiphoton"] = est.qfi_multiphoton
+                row[f"qfi_{p}_coherence"] = est.qfi_coherence
+                row[f"bound_{p}"] = est.qfi_upper_bound
+                row[f"cfi_{p}"] = est.cfi
+                row[f"gauge_reliable_{p}"] = int(est.gauge_reliable)
+            for (l, lp), om in report.incompatibility.items():
+                row[f"omega_{l}_{lp}"] = om
+        except Exception as exc:  # per-point failure: record, keep scanning
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
 
 
 def scan_columns(spec: ScanSpec) -> list[str]:
@@ -154,13 +159,13 @@ def scan_columns(spec: ScanSpec) -> list[str]:
 
 
 def run_scan(spec: ScanSpec) -> tuple[list[dict], int]:
-    tasks = [(spec, values, t) for values in spec.grid_points()
-             for t in spec.times]
+    tasks = [(spec, values) for values in spec.grid_points()]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_scan_row, tasks, chunksize=1))
+            per_point = list(pool.map(_scan_point, tasks, chunksize=1))
     else:
-        rows = [_scan_row(task) for task in tasks]
+        per_point = [_scan_point(task) for task in tasks]
+    rows = [row for point_rows in per_point for row in point_rows]
     failures = sum(1 for row in rows if row["error"])
     return rows, failures
 
@@ -416,8 +421,7 @@ def _scan_spec(args, sweeps) -> ScanSpec:
     return ScanSpec(
         model=args.model, sweeps=sweeps, fixed=fixed, times=_times(args),
         n_cut=args.ncut, fd_step=args.delta, probe=args.probe,
-        clock_omega=args.clock_omega, out=args.out, fmt=args.format,
-        jobs=args.jobs, smooth_window=args.smooth_window)
+        clock_omega=args.clock_omega, jobs=args.jobs)
 
 
 def _read_config(path: str) -> dict:

@@ -318,7 +318,6 @@ class EstimationReport:
     time: float = 0.0
     n_cut: int = DEFAULT_N_CUT
     fd_step: float = DEFAULT_FD_STEP
-    cross_covariances: dict[tuple[str, str], float] | None = None
 
     def omega_matrix_entry(self, l: str, lp: str) -> float:
         if l == lp:
@@ -385,7 +384,6 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
                       n_cut: int = DEFAULT_N_CUT,
                       delta: float = DEFAULT_FD_STEP,
                       clock_omega: float = 1.0,
-                      include_cross_covariances: bool = False,
                       session: EstimationSession | None = None) -> EstimationReport:
     """Fully populated estimation record for one (model, time) point.
 
@@ -413,14 +411,10 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
         estimates[p] = est
 
     incomp = {}
-    cross = {} if include_cross_covariances else None
     names = session.params
     for i, l in enumerate(names):
         for lp in names[i + 1:]:
             incomp[(l, lp)] = incompatibility(gens[l], gens[lp], psi)
-            if cross is not None:
-                cross[(l, lp)] = 4.0 * covariance(gens[l].total,
-                                                  gens[lp].total, psi)
 
     report = EstimationReport(
         estimates=estimates,
@@ -429,7 +423,6 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
         time=t,
         n_cut=session.n_cut,
         fd_step=session.delta,
-        cross_covariances=cross,
     )
     _check_report(report)
     return report

@@ -71,9 +71,10 @@ class RashbaModel:
             max_harmonic=1,
         )
 
-    def h_at(self, t: float) -> np.ndarray:
-        w = self.omega
-        return (self.b0 * (math.cos(w * t) * SIGMA_X + math.sin(w * t) * SIGMA_Y)
+    def h_at(self, t) -> np.ndarray:
+        """H(t); an array of times gives shape t.shape + (2, 2)."""
+        wt = self.omega * np.asarray(t, dtype=float)[..., None, None]
+        return (self.b0 * (np.cos(wt) * SIGMA_X + np.sin(wt) * SIGMA_Y)
                 - self.b1 * SIGMA_X)
 
 
@@ -107,9 +108,10 @@ class RotatingFieldModel:
             max_harmonic=1,
         )
 
-    def h_at(self, t: float) -> np.ndarray:
-        w = self.omega
-        return -self.b * (math.cos(w * t) * SIGMA_X + math.sin(w * t) * SIGMA_Z)
+    def h_at(self, t) -> np.ndarray:
+        """H(t); an array of times gives shape t.shape + (2, 2)."""
+        wt = self.omega * np.asarray(t, dtype=float)[..., None, None]
+        return -self.b * (np.cos(wt) * SIGMA_X + np.sin(wt) * SIGMA_Z)
 
 
 # ---------------------------------------------------------------------------

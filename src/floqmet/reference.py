@@ -28,38 +28,71 @@ class OracleConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-def _expm_hermitian(h: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i h tau) for Hermitian h via eigendecomposition."""
-    lam, vec = np.linalg.eigh(h)
-    return (vec * np.exp(-1j * lam * tau)[None, :]) @ vec.conj().T
+# Steps per batch: bounds the stacked arrays (h_of_t never sees more than
+# 2 * STEP_BLOCK + 1 times) while keeping the Python loop short.
+STEP_BLOCK = 512
 
 
-def propagate_direct(h_of_t: Callable[[float], np.ndarray], t: float,
+def _hamiltonians(h_of_t: Callable[[np.ndarray], np.ndarray],
+                  times: np.ndarray) -> np.ndarray:
+    """H at every time in `times`, broadcast to (len(times), N, N)."""
+    h = np.asarray(h_of_t(times), dtype=complex)
+    if h.ndim >= 2 and h.shape[-1] == h.shape[-2]:
+        try:
+            return np.broadcast_to(h, (len(times),) + h.shape[-2:])
+        except ValueError:
+            pass
+    raise ValueError(
+        f"h_of_t(times) must return shape (len(times), N, N) or broadcast to it; "
+        f"got {h.shape} for {len(times)} times")
+
+
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """mats[-1] @ ... @ mats[0] by a pairwise product tree (later times on the
+    left)."""
+    while len(mats) > 1:
+        even = len(mats) - len(mats) % 2
+        pairs = mats[1:even:2] @ mats[0:even:2]
+        mats = pairs if even == len(mats) else np.concatenate([pairs, mats[even:]])
+    return mats[0]
+
+
+def propagate_direct(h_of_t: Callable[[np.ndarray], np.ndarray], t: float,
                      cfg: OracleConfig = OracleConfig()) -> np.ndarray:
-    """U(t) as a product of substep exponentials (or RK4 on dU/dt = -iHU)."""
+    """U(t) as a time-ordered product of step maps: exp(-i H(mid) dt) per
+    step, or the RK4 step map of dU/dt = -iHU.
+
+    `h_of_t` is called with a 1-d array of times and must return H at each of
+    them, shape (len(times), N, N); a result that broadcasts to that shape
+    (a constant N x N matrix) is accepted.  The steps run in blocks of
+    STEP_BLOCK: each block evaluates its Hamiltonians in one call, builds all
+    its step matrices at once and multiplies them by a pairwise product tree.
+    """
     if t < 0:
         raise ValueError("t must be non-negative")
-    dim = np.asarray(h_of_t(0.0)).shape[0]
+    dim = _hamiltonians(h_of_t, np.zeros(1)).shape[-1]
     u = np.eye(dim, dtype=complex)
     if t == 0:
         return u
     dt = t / cfg.step_count
-    if cfg.scheme == "midpoint-exponential":
-        for i in range(cfg.step_count):
-            u = _expm_hermitian(np.asarray(h_of_t((i + 0.5) * dt), dtype=complex),
-                                dt) @ u
-        return u
-
-    def deriv(time, mat):
-        return -1j * np.asarray(h_of_t(time), dtype=complex) @ mat
-
-    for i in range(cfg.step_count):
-        s = i * dt
-        k1 = deriv(s, u)
-        k2 = deriv(s + dt / 2, u + dt / 2 * k1)
-        k3 = deriv(s + dt / 2, u + dt / 2 * k2)
-        k4 = deriv(s + dt, u + dt * k3)
-        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    eye = np.eye(dim)
+    for start in range(0, cfg.step_count, STEP_BLOCK):
+        stop = min(start + STEP_BLOCK, cfg.step_count)
+        if cfg.scheme == "midpoint-exponential":
+            mid = (np.arange(start, stop) + 0.5) * dt
+            lam, vec = np.linalg.eigh(_hamiltonians(h_of_t, mid))
+            steps = ((vec * np.exp(-1j * lam * dt)[:, None, :])
+                     @ vec.conj().swapaxes(1, 2))
+        else:
+            # M = -iH on the half-step grid s_0, s_0 + dt/2, ..., s_n
+            half = np.arange(2 * start, 2 * stop + 1) * (dt / 2)
+            m = -1j * _hamiltonians(h_of_t, half)
+            m0, mh, m1 = m[0:-1:2], m[1::2], m[2::2]
+            k2 = mh @ (eye + dt / 2 * m0)
+            k3 = mh @ (eye + dt / 2 * k2)
+            k4 = m1 @ (eye + dt * k3)
+            steps = eye + dt / 6 * (m0 + 2 * k2 + 2 * k3 + k4)
+        u = _ordered_product(steps) @ u
     return u
 
 

@@ -56,9 +56,11 @@ class PeriodicHamiltonian:
                              f"expected {(self.levels, self.levels)}")
         return h
 
-    def h_at(self, t: float) -> np.ndarray:
-        """Reassemble H(t) from the Fourier components."""
-        h = np.zeros((self.levels, self.levels), dtype=complex)
+    def h_at(self, t) -> np.ndarray:
+        """Reassemble H(t) from the Fourier components; an array of times
+        gives shape t.shape + (levels, levels)."""
+        t = np.asarray(t, dtype=float)[..., None, None]
+        h = np.zeros(t.shape[:-2] + (self.levels, self.levels), dtype=complex)
         for n in range(-self.max_harmonic, self.max_harmonic + 1):
             h += self.component(n) * np.exp(1j * n * self.omega * t)
         return h

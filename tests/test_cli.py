@@ -1,8 +1,10 @@
 """Command-line harness tests."""
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,15 @@ from floqmet.cli import (ScanSpec, fit_scaling, fmt17, main, parse_grid,
 from floqmet.metrology import InvariantViolation
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    # the pytest `pythonpath` option does not reach a child process
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     return subprocess.run([sys.executable, "-m", "floqmet.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_parse_grid():

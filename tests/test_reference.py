@@ -6,9 +6,34 @@ import pytest
 
 from floqmet.models import (SIGMA_X, RashbaModel, RotatingFieldModel,
                             rotating_generator_analytic)
-from floqmet.reference import (OracleConfig, generator_direct,
+from floqmet.reference import (STEP_BLOCK, OracleConfig, generator_direct,
                                propagate_direct, unitarity_defect)
 from floqmet.sambe import PeriodicHamiltonian
+
+HAMILTONIANS = {
+    "rashba": RashbaModel(1.3, 0.8, 1.0).h_at,
+    "rotating": RotatingFieldModel(0.7, 1.2).h_at,
+    "periodic": RashbaModel(0.6, 1.9, 0.9).hamiltonian().h_at,
+}
+
+
+def propagate_loop(h_of_t, t, cfg):
+    """Step-by-step reference: one scalar-time step per iteration."""
+    u = np.eye(2, dtype=complex)
+    dt = t / cfg.step_count
+    for i in range(cfg.step_count):
+        if cfg.scheme == "midpoint-exponential":
+            lam, vec = np.linalg.eigh(h_of_t((i + 0.5) * dt))
+            u = (vec * np.exp(-1j * lam * dt)) @ vec.conj().T @ u
+            continue
+        s = i * dt
+        mid = -1j * h_of_t(s + dt / 2)
+        k1 = -1j * h_of_t(s) @ u
+        k2 = mid @ (u + dt / 2 * k1)
+        k3 = mid @ (u + dt / 2 * k2)
+        k4 = -1j * h_of_t(s + dt) @ (u + dt * k3)
+        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u
 
 
 def test_config_validation():
@@ -85,3 +110,44 @@ def test_generator_rejects_bad_delta():
     model = RotatingFieldModel(0.5, 1.0).hamiltonian()
     with pytest.raises(ValueError):
         generator_direct(model, "b", 1.0, delta=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(HAMILTONIANS))
+@pytest.mark.parametrize("scheme", ["midpoint-exponential", "rk4"])
+@pytest.mark.parametrize("steps", [1, 7, 511, 512, 513, 20000])
+def test_batched_oracle_matches_step_loop(name, scheme, steps):
+    h_of_t = HAMILTONIANS[name]
+    cfg = OracleConfig(steps, scheme)
+    u = propagate_direct(h_of_t, 1.3, cfg)
+    assert np.max(np.abs(u - propagate_loop(h_of_t, 1.3, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(HAMILTONIANS))
+def test_h_at_array_stacks_scalar_calls(name):
+    h_of_t = HAMILTONIANS[name]
+    times = np.linspace(-0.4, 7.9, 12).reshape(3, 4)
+    stacked = np.array([[h_of_t(float(t)) for t in row] for row in times])
+    assert h_of_t(times).shape == (3, 4, 2, 2)
+    assert np.array_equal(h_of_t(times), stacked)
+    assert h_of_t(0.3).shape == (2, 2)
+
+
+@pytest.mark.parametrize("scheme", ["midpoint-exponential", "rk4"])
+def test_oracle_batches_are_bounded(scheme):
+    sizes = []
+
+    def recording(times):
+        sizes.append(np.shape(times))
+        return HAMILTONIANS["rashba"](times)
+
+    propagate_direct(recording, 2.0, OracleConfig(5 * STEP_BLOCK + 3, scheme))
+    assert all(len(size) == 1 for size in sizes)
+    assert STEP_BLOCK <= max(size[0] for size in sizes) <= 2 * STEP_BLOCK + 1
+
+
+@pytest.mark.parametrize("h_of_t", [lambda times: np.zeros((len(times) + 1, 2, 2)),
+                                    lambda _t: np.zeros((2, 3)),
+                                    lambda _t: 1.0])
+def test_unbroadcastable_hamiltonian_rejected(h_of_t):
+    with pytest.raises(ValueError, match=r"must return shape \(len\(times\), N, N\)"):
+        propagate_direct(h_of_t, 1.0, OracleConfig(10))
