@@ -96,7 +96,6 @@ class ScanSpec:
     n_cut: int = DEFAULT_N_CUT
     fd_step: float = DEFAULT_FD_STEP
     probe: str = "gs-h0"
-    clock_omega: float = 1.0
     jobs: int = 1
 
     def grid_points(self) -> list[dict]:
@@ -125,7 +124,6 @@ def _scan_point(args) -> list[dict]:
                                             params, spec.n_cut, spec.fd_step)
             probe = parse_probe(spec.probe)
             report = estimation_report(session.model, params, probe, t,
-                                       clock_omega=spec.clock_omega,
                                        session=session)
             for p, est in report.estimates.items():
                 row[f"qfi_{p}"] = est.qfi_total
@@ -202,14 +200,13 @@ def fit_scaling(times, values, window: str = "raw",
                       exponent=float(slope), r_squared=r2, window=window)
 
 
-def qfi_over_times(model, params, probe, times, n_cut, delta, clock_omega=1.0):
+def qfi_over_times(model, params, probe, times, n_cut, delta):
     """QFI curves over a time grid, reusing one set of diagonalizations."""
     session = EstimationSession(model, params, n_cut, delta)
     curves = {p: [] for p in params}
     for t in times:
         report = estimation_report(model, params, probe, t, n_cut=n_cut,
-                                   delta=delta, clock_omega=clock_omega,
-                                   session=session)
+                                   delta=delta, session=session)
         for p in params:
             curves[p].append(report.estimates[p].qfi_total)
     return {p: np.asarray(v) for p, v in curves.items()}
@@ -276,7 +273,7 @@ def cmd_scaling(args) -> int:
         raise SystemExit("scaling needs at least 8 time points")
     probe = parse_probe(args.probe)
     curves = qfi_over_times(model, [args.param], probe, times, args.ncut,
-                            args.delta, args.clock_omega)
+                            args.delta)
     fit = fit_scaling(times, curves[args.param], window=args.window,
                       smooth_window=args.smooth_window)
     rows = [{"param": args.param, "exponent": fit.exponent,
@@ -297,8 +294,7 @@ def cmd_converge(args) -> int:
     previous: dict[str, float] = {}
     for n in n_cuts:
         report = estimation_report(model, params, probe, args.t, n_cut=n,
-                                   delta=args.delta,
-                                   clock_omega=args.clock_omega)
+                                   delta=args.delta)
         row = {"n_cut": n}
         for p in params:
             value = report.estimates[p].qfi_total
@@ -312,13 +308,12 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def stepsize_study(model, param, probe, t, deltas, n_cut,
-                   clock_omega=1.0) -> list[dict]:
+def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
     """QFI(delta) plus a 5-point local standard deviation per delta."""
     values = []
     for d in deltas:
         report = estimation_report(model, [param], probe, t, n_cut=n_cut,
-                                   delta=d, clock_omega=clock_omega)
+                                   delta=d)
         values.append(report.estimates[param].qfi_total)
     values = np.asarray(values)
     rows = []
@@ -336,8 +331,7 @@ def cmd_stepsize(args) -> int:
     span = math.log10(deltas.max() / deltas.min())
     if span < 3:
         raise SystemExit(f"step-size study should span >= 3 decades, got {span:.1f}")
-    rows = stepsize_study(model, args.param, probe, args.t, deltas, args.ncut,
-                          args.clock_omega)
+    rows = stepsize_study(model, args.param, probe, args.t, deltas, args.ncut)
     write_table(rows, ["delta", "qfi", "local_std"], args.out, args.format)
     return EXIT_OK
 
@@ -420,8 +414,7 @@ def _scan_spec(args, sweeps) -> ScanSpec:
     fixed = {n: values[n] for n in names}
     return ScanSpec(
         model=args.model, sweeps=sweeps, fixed=fixed, times=_times(args),
-        n_cut=args.ncut, fd_step=args.delta, probe=args.probe,
-        clock_omega=args.clock_omega, jobs=args.jobs)
+        n_cut=args.ncut, fd_step=args.delta, probe=args.probe, jobs=args.jobs)
 
 
 def _read_config(path: str) -> dict:
@@ -453,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ncut", type=int, default=DEFAULT_N_CUT)
         p.add_argument("--delta", type=float, default=DEFAULT_FD_STEP)
         p.add_argument("--probe", default="gs-h0")
-        p.add_argument("--clock-omega", type=float, default=1.0)
         p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
         p.add_argument("--out", default=None)
         p.add_argument("--format", default="csv", choices=("csv", "json"))

@@ -383,7 +383,6 @@ def generator(model: PeriodicHamiltonian, param: str, t: float,
 def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
                       n_cut: int = DEFAULT_N_CUT,
                       delta: float = DEFAULT_FD_STEP,
-                      clock_omega: float = 1.0,
                       session: EstimationSession | None = None) -> EstimationReport:
     """Fully populated estimation record for one (model, time) point.
 
@@ -394,7 +393,7 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
 
     U(t) is evaluated once and each parameter's dU/dx split once; the
     generator and the CFI both read those values.  The CFI is the general-t
-    value, so `clock_omega` does not change the report.
+    value.
     """
     if session is None:
         session = EstimationSession(model, params, n_cut, delta)

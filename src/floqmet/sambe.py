@@ -99,9 +99,6 @@ class SambeIndex:
     level: int
     fourier: int
 
-    def flat(self, levels: int, n_cut: int) -> int:
-        return (self.fourier + n_cut) * levels + self.level
-
 
 def flat_index(level: int, fourier: int, levels: int, n_cut: int) -> int:
     return (fourier + n_cut) * levels + level
@@ -142,26 +139,28 @@ def build_floquet_matrix(model: PeriodicHamiltonian, n_cut: int) -> FloquetMatri
     """Assemble the truncated Sambe-space matrix for `model`.
 
     Block (k, m) is H^(k-m) plus the k*omega identity ladder on the diagonal
-    blocks.  Rejects truncations that would drop nonzero couplings.
+    blocks.  Rejects truncations that would drop nonzero couplings.  The
+    matrix is real (float64) when every Fourier component is real, as for
+    drives with H(t)* = H(-t), and complex otherwise.
     """
     if n_cut < model.max_harmonic:
         raise FloquetBuildError(
             f"n_cut={n_cut} would drop couplings up to harmonic {model.max_harmonic}")
     model.check_hermiticity()
 
-    nl = model.levels
-    dim = nl * (2 * n_cut + 1)
-    data = np.zeros((dim, dim), dtype=complex)
-    components = {n: model.component(n) for n in
-                  range(-model.max_harmonic, model.max_harmonic + 1)}
-    eye = np.eye(nl)
-    for k in range(-n_cut, n_cut + 1):
-        row = (k + n_cut) * nl
-        for m in range(max(-n_cut, k - model.max_harmonic),
-                       min(n_cut, k + model.max_harmonic) + 1):
-            col = (m + n_cut) * nl
-            data[row:row + nl, col:col + nl] = components[k - m]
-        data[row:row + nl, row:row + nl] += k * model.omega * eye
+    nl, ns = model.levels, 2 * n_cut + 1
+    harmonics = range(-model.max_harmonic, model.max_harmonic + 1)
+    components = np.array([model.component(n) for n in harmonics])
+    if not components.imag.any():
+        components = components.real
+    data = np.zeros((ns, nl, ns, nl), dtype=components.dtype)
+    blocks = data.transpose(0, 2, 1, 3)  # [k, m, gamma, beta], a view of data
+    for n, h in zip(harmonics, components):
+        k = np.arange(max(n, 0), ns + min(n, 0))
+        blocks[k, k - n] = h
+    k = np.arange(ns)
+    blocks[k, k] += (k - n_cut)[:, None, None] * model.omega * np.eye(nl)
+    data = data.reshape(ns * nl, ns * nl)
     return FloquetMatrix(n_cut=n_cut, levels=nl, omega=model.omega, data=data)
 
 

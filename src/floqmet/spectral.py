@@ -93,7 +93,11 @@ class FloquetSpectrum:
 
 
 def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
-    """Exact diagonalization of the (Hermitian) truncated Floquet matrix."""
+    """Exact diagonalization of the (Hermitian) truncated Floquet matrix.
+
+    A real symmetric matrix runs the real solver; the eigenvector table is
+    complex either way, so the metrology matmuls stay in one dtype.
+    """
     defect = matrix.hermiticity_defect()
     if defect > 1e-10:
         raise DiagonalizationError(
@@ -106,7 +110,7 @@ def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
             f"eigh failed for dim={matrix.dim}, max|entry|={scale:.3e}") from exc
     return FloquetSpectrum(
         eigenvalues=lam,
-        eigenvectors=vec,
+        eigenvectors=vec.astype(complex, copy=False),
         n_cut=matrix.n_cut,
         levels=matrix.levels,
         omega=matrix.omega,

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from floqmet.models import SIGMA_X, SIGMA_Y, RashbaModel
+from floqmet.models import SIGMA_X, SIGMA_Y, RashbaModel, RotatingFieldModel
 from floqmet.sambe import (FloquetBuildError, PeriodicHamiltonian,
-                           SambeIndex, build_floquet_matrix, flat_index,
+                           build_floquet_matrix, flat_index,
                            fourier_components_from_timedomain,
                            periodic_hamiltonian_from_timedomain, sambe_index,
                            truncation_ladder)
@@ -20,6 +20,55 @@ def static_model(h0, omega=1.0):
 
     return PeriodicHamiltonian(levels=h0.shape[0], omega=omega, params={},
                                fourier_component=comp, max_harmonic=0)
+
+
+def build_loop(model, n_cut):
+    """Reference builder: the (k, m) block loop, always complex."""
+    nl = model.levels
+    dim = nl * (2 * n_cut + 1)
+    data = np.zeros((dim, dim), dtype=complex)
+    for k in range(-n_cut, n_cut + 1):
+        row = (k + n_cut) * nl
+        for m in range(max(-n_cut, k - model.max_harmonic),
+                       min(n_cut, k + model.max_harmonic) + 1):
+            col = (m + n_cut) * nl
+            data[row:row + nl, col:col + nl] = model.component(k - m)
+        data[row:row + nl, row:row + nl] += k * model.omega * np.eye(nl)
+    return data
+
+
+def three_level_model(real):
+    """Random 3-level drive with harmonics up to 2; real or complex set."""
+    rng = np.random.default_rng(7)
+
+    def draw():
+        h = rng.normal(size=(3, 3))
+        return h if real else h + 1j * rng.normal(size=(3, 3))
+
+    h0 = draw()
+    comps = {0: h0 + h0.conj().T, 1: draw(), 2: draw()}
+    for n in (1, 2):
+        comps[-n] = comps[n].conj().T
+
+    def comp(n, _params):
+        return comps[n]
+
+    return PeriodicHamiltonian(levels=3, omega=0.8, params={},
+                               fourier_component=comp, max_harmonic=2)
+
+
+@pytest.mark.parametrize("model, real", [
+    (RashbaModel(1.7, 0.9, 1.1).hamiltonian(), True),
+    (RotatingFieldModel(0.7, 1.3).hamiltonian(), False),
+    (three_level_model(real=True), True),
+    (three_level_model(real=False), False),
+])
+@pytest.mark.parametrize("extra", [0, 5])
+def test_vectorised_build_matches_block_loop(model, real, extra):
+    n_cut = model.max_harmonic + extra
+    matrix = build_floquet_matrix(model, n_cut)
+    assert matrix.data.dtype == (np.float64 if real else np.complex128)
+    assert np.array_equal(matrix.data, build_loop(model, n_cut))
 
 
 def test_static_model_is_block_diagonal():
@@ -94,7 +143,6 @@ def test_flat_index_roundtrip():
     for flat in range(2 * (2 * 3 + 1)):
         idx = sambe_index(flat, 2, 3)
         assert flat_index(idx.level, idx.fourier, 2, 3) == flat
-        assert SambeIndex(idx.level, idx.fourier).flat(2, 3) == flat
     assert flat_index(0, 0, 2, 3) == 6  # center sector starts mid-ladder
 
 

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from floqmet.models import RashbaModel
+from floqmet.models import RashbaModel, RotatingFieldModel
+from floqmet.propagator import evolve
 from floqmet.sambe import FloquetMatrix, build_floquet_matrix
 from floqmet.spectral import (DiagonalizationError, amplitude_table,
                               diagonalize, fold_to_fbz)
@@ -28,6 +29,23 @@ def test_static_spectrum_ladder():
         build_floquet_matrix(RashbaModel(0.0, 1.0, 1.0).hamiltonian(), 1))
     np.testing.assert_allclose(np.sort(spectrum.eigenvalues),
                                [-2, -1, 0, 0, 1, 2], atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [RashbaModel(0.9, 0.6, 1.0).hamiltonian(),
+                                   RotatingFieldModel(0.8, 1.0).hamiltonian()])
+def test_real_and_complex_solvers_agree(model):
+    matrix = build_floquet_matrix(model, 10)
+    spectrum = diagonalize(matrix)
+    complex_spectrum = diagonalize(FloquetMatrix(
+        n_cut=matrix.n_cut, levels=matrix.levels, omega=matrix.omega,
+        data=matrix.data.astype(complex)))
+    assert spectrum.eigenvectors.dtype == np.complex128
+    np.testing.assert_allclose(spectrum.eigenvalues,
+                               complex_spectrum.eigenvalues, rtol=0, atol=1e-12)
+    for t in (0.7, 2 * np.pi, 9.1):
+        np.testing.assert_allclose(evolve(spectrum, t).u_matrix,
+                                   evolve(complex_spectrum, t).u_matrix,
+                                   rtol=0, atol=1e-12)
 
 
 def test_diagonalize_rejects_non_hermitian():
