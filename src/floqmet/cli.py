@@ -32,12 +32,16 @@ EXIT_POINT_FAILURES = 3
 MODEL_PARAMS = {"rashba": ("b0", "b1", "omega"), "rotating": ("b", "omega")}
 
 
-def make_model(name: str, values: dict):
+def _physical_model(name: str, values: dict):
     if name == "rashba":
-        return RashbaModel(values["b0"], values["b1"], values["omega"]).hamiltonian()
+        return RashbaModel(values["b0"], values["b1"], values["omega"])
     if name == "rotating":
-        return RotatingFieldModel(values["b"], values["omega"]).hamiltonian()
+        return RotatingFieldModel(values["b"], values["omega"])
     raise ValueError(f"unknown model {name!r} (known: rashba, rotating)")
+
+
+def make_model(name: str, values: dict):
+    return _physical_model(name, values).hamiltonian()
 
 
 def parse_probe(spec: str) -> np.ndarray:
@@ -173,7 +177,6 @@ class ScalingFit:
     """Power-law fit of values vs time on log-log axes."""
 
     times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
     exponent: float = 0.0
     r_squared: float = 0.0
     window: str = "raw"
@@ -196,20 +199,8 @@ def fit_scaling(times, values, window: str = "raw",
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ScalingFit(times=times[keep], values=values[keep],
-                      exponent=float(slope), r_squared=r2, window=window)
-
-
-def qfi_over_times(model, params, probe, times, n_cut, delta):
-    """QFI curves over a time grid, reusing one set of diagonalizations."""
-    session = EstimationSession(model, params, n_cut, delta)
-    curves = {p: [] for p in params}
-    for t in times:
-        report = estimation_report(model, params, probe, t, n_cut=n_cut,
-                                   delta=delta, session=session)
-        for p in params:
-            curves[p].append(report.estimates[p].qfi_total)
-    return {p: np.asarray(v) for p, v in curves.items()}
+    return ScalingFit(times=times[keep], exponent=float(slope), r_squared=r2,
+                      window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +251,24 @@ def cmd_qfi(args) -> int:
 
 def cmd_scan(args) -> int:
     sweeps = [_parse_sweep(s) for s in args.sweep]
-    spec = _scan_spec(args, sweeps=sweeps)
+    spec = _scan_spec(args, sweeps=sweeps, jobs=args.jobs)
     rows, failures = run_scan(spec)
     write_table(rows, scan_columns(spec), args.out, args.format)
     return EXIT_POINT_FAILURES if failures else EXIT_OK
 
 
 def cmd_scaling(args) -> int:
+    if not args.t_grid:
+        raise ValueError("scaling needs --t-grid")
     model = make_model(args.model, _model_values(args))
     times = _times(args)
     if len(times) < 8:
         raise SystemExit("scaling needs at least 8 time points")
     probe = parse_probe(args.probe)
-    curves = qfi_over_times(model, [args.param], probe, times, args.ncut,
-                            args.delta)
-    fit = fit_scaling(times, curves[args.param], window=args.window,
+    session = EstimationSession(model, [args.param], args.ncut, args.delta)
+    qfis = [estimation_report(model, [args.param], probe, t, session=session)
+            .estimates[args.param].qfi_total for t in times]
+    fit = fit_scaling(times, qfis, window=args.window,
                       smooth_window=args.smooth_window)
     rows = [{"param": args.param, "exponent": fit.exponent,
              "r_squared": fit.r_squared, "window": fit.window,
@@ -359,22 +353,16 @@ def cmd_phase(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    values = _model_values(args)
-    model = make_model(args.model, values)
-    if args.model == "rashba":
-        h_of_t = RashbaModel(values["b0"], values["b1"], values["omega"]).h_at
-    else:
-        h_of_t = RotatingFieldModel(values["b"], values["omega"]).h_at
-    spectrum = diagonalize(build_floquet_matrix(model, args.ncut))
+    model = _physical_model(args.model, _model_values(args))
+    spectrum = diagonalize(build_floquet_matrix(model.hamiltonian(), args.ncut))
     cfg = OracleConfig(step_count=args.steps, scheme=args.scheme)
     rows = []
     for t in _times(args):
-        u_f = evolve(spectrum, t).u_matrix
-        u_d = propagate_direct(h_of_t, t, cfg)
+        sample = evolve(spectrum, t)
+        u_d = propagate_direct(model.h_at, t, cfg)
         rows.append({"time": t,
-                     "max_diff": float(np.max(np.abs(u_f - u_d))),
-                     "floquet_defect": float(np.max(np.abs(
-                         u_f.conj().T @ u_f - np.eye(model.levels)))),
+                     "max_diff": float(np.max(np.abs(sample.u_matrix - u_d))),
+                     "floquet_defect": sample.truncation_defect,
                      "oracle_defect": unitarity_defect(u_d)})
     write_table(rows, ["time", "max_diff", "floquet_defect", "oracle_defect"],
                 args.out, args.format)
@@ -403,18 +391,18 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
 
 
 def _times(args) -> list[float]:
-    if getattr(args, "t_grid", None):
+    if args.t_grid:
         return [float(t) for t in parse_grid(args.t_grid)]
     return [args.t]
 
 
-def _scan_spec(args, sweeps) -> ScanSpec:
+def _scan_spec(args, sweeps, jobs: int = 1) -> ScanSpec:
     names = MODEL_PARAMS[args.model]
     values = _model_values(args)
     fixed = {n: values[n] for n in names}
     return ScanSpec(
         model=args.model, sweeps=sweeps, fixed=fixed, times=_times(args),
-        n_cut=args.ncut, fd_step=args.delta, probe=args.probe, jobs=args.jobs)
+        n_cut=args.ncut, fd_step=args.delta, probe=args.probe, jobs=jobs)
 
 
 def _read_config(path: str) -> dict:
@@ -430,6 +418,29 @@ def _read_config(path: str) -> dict:
     return out
 
 
+# Each subcommand names the shared flags it reads and matches flags exactly,
+# so one it lacks is rejected, not read as a longer one (--delta as --deltas).
+SHARED_FLAGS = {
+    "--model": dict(default="rashba", choices=sorted(MODEL_PARAMS)),
+    "--b0": dict(type=float, default=0.5),
+    "--b1": dict(type=float, default=0.5),
+    "--b": dict(type=float, default=0.5),
+    "--omega": dict(type=float, default=1.0),
+    "--ncut": dict(type=int, default=DEFAULT_N_CUT),
+    "--delta": dict(type=float, default=DEFAULT_FD_STEP),
+    "--probe": dict(default="gs-h0"),
+    "--t": dict(type=float, default=2 * math.pi),
+    "--t-grid": dict(default=None, help="start:stop:points time grid"),
+    "--jobs": dict(type=int, default=1),
+    "--out": dict(default=None),
+    "--format": dict(default="csv", choices=("csv", "json")),
+}
+MODEL_FLAGS = "--model --b0 --b1 --b --omega"
+RASHBA_FLAGS = "--b0 --b1 --omega"
+FD_FLAGS = "--delta --probe"
+OUTPUT_FLAGS = "--out --format"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floqmet",
@@ -437,77 +448,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, time_flags=True):
-        p.add_argument("--model", default="rashba", choices=sorted(MODEL_PARAMS))
-        p.add_argument("--b0", type=float, default=0.5)
-        p.add_argument("--b1", type=float, default=0.5)
-        p.add_argument("--b", type=float, default=0.5)
-        p.add_argument("--omega", type=float, default=1.0)
-        p.add_argument("--ncut", type=int, default=DEFAULT_N_CUT)
-        p.add_argument("--delta", type=float, default=DEFAULT_FD_STEP)
-        p.add_argument("--probe", default="gs-h0")
-        p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--jobs", type=int, default=1)
-        if time_flags:
-            p.add_argument("--t", type=float, default=2 * math.pi)
-            p.add_argument("--t-grid", default=None,
-                           help="start:stop:points time grid")
+    def command(name, func, help, *flag_groups):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in " ".join(flag_groups).split():
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
         return p
 
-    common(sub.add_parser("build", help="assemble the Floquet matrix"),
-           time_flags=False).set_defaults(func=cmd_build)
-    common(sub.add_parser("evolve", help="propagator samples")).set_defaults(
-        func=cmd_evolve)
-    common(sub.add_parser("qfi", help="single-point estimation report")
-           ).set_defaults(func=cmd_qfi)
+    command("build", cmd_build, "assemble the Floquet matrix",
+            MODEL_FLAGS, "--ncut", OUTPUT_FLAGS)
+    command("evolve", cmd_evolve, "propagator samples",
+            MODEL_FLAGS, "--ncut --t --t-grid", OUTPUT_FLAGS)
+    command("qfi", cmd_qfi, "single-point estimation report",
+            MODEL_FLAGS, "--ncut", FD_FLAGS, "--t --t-grid", OUTPUT_FLAGS)
 
-    p = common(sub.add_parser("scan", help="parameter scan"))
+    p = command("scan", cmd_scan, "parameter scan", MODEL_FLAGS, "--ncut",
+                FD_FLAGS, "--t --t-grid --jobs", OUTPUT_FLAGS)
     p.add_argument("--sweep", action="append", default=[],
                    metavar="PARAM=lo:hi:points", required=True)
-    p.set_defaults(func=cmd_scan)
 
-    p = common(sub.add_parser("scaling", help="QFI-vs-time power-law fit"))
+    p = command("scaling", cmd_scaling,
+                "QFI-vs-time power-law fit (needs --t-grid)",
+                MODEL_FLAGS, "--ncut", FD_FLAGS, "--t-grid", OUTPUT_FLAGS)
     p.add_argument("--param", required=True)
     p.add_argument("--window", default="raw", choices=("raw", "local-mean"))
-    p.set_defaults(func=cmd_scaling)
+    p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
 
-    p = common(sub.add_parser("converge", help="truncation convergence table"))
+    p = command("converge", cmd_converge, "truncation convergence table",
+                MODEL_FLAGS, FD_FLAGS, "--t", OUTPUT_FLAGS)
     p.add_argument("--param", action="append", default=None)
     p.add_argument("--ncuts", default="10,20,30,40,50,51")
-    p.set_defaults(func=cmd_converge)
 
-    p = common(sub.add_parser("stepsize", help="finite-difference step study"))
+    p = command("stepsize", cmd_stepsize, "finite-difference step study",
+                MODEL_FLAGS, "--ncut --probe --t", OUTPUT_FLAGS)
     p.add_argument("--param", required=True)
     p.add_argument("--deltas",
                    default="1e-9,3e-9,1e-8,3e-8,1e-7,3e-7,1e-6,3e-6,"
                            "1e-5,3e-5,1e-4,3e-4,1e-3")
-    p.set_defaults(func=cmd_stepsize)
 
-    p = common(sub.add_parser("winding", help="Rashba winding number"),
-               time_flags=False)
-    p.set_defaults(func=cmd_winding)
+    command("winding", cmd_winding, "Rashba winding number",
+            RASHBA_FLAGS, OUTPUT_FLAGS)
 
-    p = common(sub.add_parser("phase", help="geometric/dynamical phase report"),
-               time_flags=False)
+    p = command("phase", cmd_phase, "geometric/dynamical phase report",
+                RASHBA_FLAGS, OUTPUT_FLAGS)
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--quad-points", type=int, default=1024)
-    p.set_defaults(func=cmd_phase)
 
-    p = common(sub.add_parser("oracle-check",
-                              help="Floquet vs direct-propagation comparison"))
+    p = command("oracle-check", cmd_oracle_check,
+                "Floquet vs direct-propagation comparison",
+                MODEL_FLAGS, "--ncut --t --t-grid", OUTPUT_FLAGS)
     p.add_argument("--steps", type=int, default=20000)
     p.add_argument("--scheme", default="midpoint-exponential",
                    choices=("midpoint-exponential", "rk4"))
-    p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("units", help="dimensionless-to-physical field mapping")
+    p = command("units", cmd_units, "dimensionless-to-physical field mapping",
+                OUTPUT_FLAGS)
     p.add_argument("--f-ghz", type=float, required=True)
     p.add_argument("--g-factor", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.set_defaults(func=cmd_units)
 
     return parser
 
@@ -517,10 +514,14 @@ def main(argv=None) -> int:
     pre, _ = parser.parse_known_args(argv)
     if getattr(pre, "config", None):
         config = _read_config(pre.config)
+        unused = set(config)
         for action in parser._subparsers._group_actions[0].choices.values():
-            defaults = {k: v for k, v in config.items()
-                        if any(a.dest == k for a in action._actions)}
-            action.set_defaults(**defaults)
+            dests = {a.dest for a in action._actions} - {"help"}
+            action.set_defaults(**{k: v for k, v in config.items() if k in dests})
+            unused -= dests
+        if unused:
+            parser.error(f"config key(s) {', '.join(sorted(unused))} name no "
+                         "flag of any subcommand")
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -122,10 +122,10 @@ class _ParameterShift:
         self.param = param
         self.delta = delta
         x0 = model.params[param]
-        self.model_minus = model.with_params(**{param: x0 - delta})
-        self.model_plus = model.with_params(**{param: x0 + delta})
-        self.spec_minus = diagonalize(build_floquet_matrix(self.model_minus, n_cut))
-        self.spec_plus = diagonalize(build_floquet_matrix(self.model_plus, n_cut))
+        model_minus = model.with_params(**{param: x0 - delta})
+        model_plus = model.with_params(**{param: x0 + delta})
+        self.spec_minus = diagonalize(build_floquet_matrix(model_minus, n_cut))
+        self.spec_plus = diagonalize(build_floquet_matrix(model_plus, n_cut))
         self._check_pairing()
 
     def _check_pairing(self) -> None:
@@ -249,20 +249,20 @@ class EstimationSession:
                                     self._du_components(param, t))
 
     def cfi(self, param: str, t: float, probe,
-            clock_omega: float = 1.0, stroboscopic: bool = True) -> float:
+            stroboscopic: bool = True) -> float:
         """CFI of the projective measurement in the bare level basis.
 
         For a two-level system this equals the two-outcome measurement
         {|1><1|, 1 - |1><1|}.  With `stroboscopic=True`, t must be an
-        integer multiple of the clock period 2 pi / clock_omega; the general-t
+        integer multiple of the drive period 2 pi / omega; the general-t
         value is available by passing stroboscopic=False.
         """
         if stroboscopic:
-            t0 = 2.0 * math.pi / clock_omega
+            t0 = self.model.period
             cycles = t / t0
             if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
                 raise ValueError(
-                    f"t={t:.6g} is not a positive multiple of the clock period "
+                    f"t={t:.6g} is not a positive multiple of the drive period "
                     f"{t0:.6g}; use stroboscopic=False for general-t CFI")
         psi = _as_probe(probe, self.model.levels)
         return _level_basis_cfi(self.propagator(t),
@@ -381,22 +381,30 @@ def generator(model: PeriodicHamiltonian, param: str, t: float,
 
 
 def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
-                      n_cut: int = DEFAULT_N_CUT,
-                      delta: float = DEFAULT_FD_STEP,
+                      n_cut: int | None = None,
+                      delta: float | None = None,
                       session: EstimationSession | None = None) -> EstimationReport:
     """Fully populated estimation record for one (model, time) point.
 
     Invariants (decomposition identity, QFI within [0, bound], CFI below QFI)
     are asserted before the report is returned; a report is never emitted in
     a violated state.  Pass an existing `session` to reuse diagonalizations
-    across times.
+    across times; the arguments given (not None) must then match it.
 
     U(t) is evaluated once and each parameter's dU/dx split once; the
     generator and the CFI both read those values.  The CFI is the general-t
     value.
     """
     if session is None:
-        session = EstimationSession(model, params, n_cut, delta)
+        session = EstimationSession(
+            model, params, DEFAULT_N_CUT if n_cut is None else n_cut,
+            DEFAULT_FD_STEP if delta is None else delta)
+    else:
+        for name, value in (("model", model), ("params", list(params)),
+                            ("n_cut", n_cut), ("delta", delta)):
+            if value is not None and value != getattr(session, name):
+                raise ValueError(f"{name}={value!r} differs from the session's "
+                                 f"{getattr(session, name)!r}")
     psi = _as_probe(probe, model.levels)
     u0 = session.propagator(t)
 

@@ -17,41 +17,37 @@ class PropagatorSample:
     time: float
     u_matrix: np.ndarray = field(repr=False)
     truncation_defect: float = 0.0
-    defect_tol: float = DEFECT_TOL
 
     @property
     def flagged(self) -> bool:
         """True when the unitarity defect signals insufficient truncation."""
-        return self.truncation_defect > self.defect_tol
+        return self.truncation_defect > DEFECT_TOL
 
 
-def _sideband_amplitudes(spectrum: FloquetSpectrum, t: float,
-                         input_sector: int = 0) -> np.ndarray:
-    """C_k(t)[gamma, beta] = <gamma,k|exp(-i H_F t)|beta,input_sector>."""
+def _sideband_amplitudes(spectrum: FloquetSpectrum, t: float) -> np.ndarray:
+    """C_k(t)[gamma, beta] = <gamma,k|exp(-i H_F t)|beta,0>."""
     phases = np.exp(-1j * spectrum.eigenvalues * t)
     view = spectrum.sector_view()                      # [k, gamma, alpha]
-    inp = view[input_sector + spectrum.n_cut].conj()   # [beta, alpha]
+    inp = view[spectrum.n_cut].conj()                  # [beta, alpha]
     # (dim, N) = (D * phases) @ D_in^dagger, reshaped per sector
     flat = (spectrum.eigenvectors * phases[None, :]) @ inp.T
     return flat.reshape(spectrum.n_sectors, spectrum.levels, spectrum.levels)
 
 
-def evolve(spectrum: FloquetSpectrum, t: float, input_sector: int = 0,
-           defect_tol: float = DEFECT_TOL) -> PropagatorSample:
+def evolve(spectrum: FloquetSpectrum, t: float) -> PropagatorSample:
     """Reconstruct U(t)[gamma, beta] = sum_{alpha,k} B e^{-i lam t} e^{i k w t}.
 
     Valid at arbitrary t; stroboscopic times t = l T are the special case
     where all sideband phase factors collapse to unity.  A unitarity defect
-    above `defect_tol` flags (never hides) an insufficient cutoff.
+    above `DEFECT_TOL` flags (never hides) an insufficient cutoff.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    ck = _sideband_amplitudes(spectrum, t, input_sector)
+    ck = _sideband_amplitudes(spectrum, t)
     k = np.arange(-spectrum.n_cut, spectrum.n_cut + 1)
     u = np.tensordot(np.exp(1j * k * spectrum.omega * t), ck, axes=(0, 0))
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(spectrum.levels))))
-    return PropagatorSample(time=t, u_matrix=u, truncation_defect=defect,
-                            defect_tol=defect_tol)
+    return PropagatorSample(time=t, u_matrix=u, truncation_defect=defect)
 
 
 @dataclass

@@ -121,11 +121,6 @@ class FloquetMatrix:
     def dim(self) -> int:
         return self.levels * (2 * self.n_cut + 1)
 
-    @property
-    def sectors(self) -> np.ndarray:
-        """Fourier indices of the truncated ladder, ascending."""
-        return np.arange(-self.n_cut, self.n_cut + 1)
-
     def block(self, k: int, m: int) -> np.ndarray:
         """The (k, m) sector block as a view into the dense matrix."""
         n, nl = self.n_cut, self.levels

@@ -1,4 +1,5 @@
 """Command-line harness tests."""
+import argparse
 import json
 import math
 import os
@@ -183,3 +184,90 @@ def test_converge_command(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n_cut,qfi_b0,rel_change_b0"
     assert float(lines[2].split(",")[2]) < 1e-4
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that records every attribute a command reads."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        if name != "reads" and not name.startswith("__"):
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# One representative invocation per subcommand, small enough to run quickly.
+INVOCATIONS = {
+    "build": ["--ncut", "4"],
+    "evolve": ["--ncut", "4"],
+    "qfi": ["--ncut", "6"],
+    "scan": ["--sweep", "b0=0.4:0.6:2", "--ncut", "6"],
+    "scaling": ["--param", "b0", "--ncut", "6", "--t-grid", "0.5:2:8"],
+    "converge": ["--ncuts", "8,10", "--param", "b0"],
+    "stepsize": ["--param", "b0", "--ncut", "6", "--deltas", "1e-6,1e-3"],
+    "winding": ["--b0", "2", "--b1", "1"],
+    "phase": ["--b0", "2", "--b1", "1", "--quad-points", "64"],
+    "oracle-check": ["--ncut", "6", "--steps", "64"],
+    "units": ["--f-ghz", "10", "--g-factor", "4"],
+}
+
+
+def test_invocations_cover_every_subcommand():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(INVOCATIONS) == set(subparsers)
+
+
+@pytest.mark.parametrize("command", sorted(INVOCATIONS))
+def test_every_accepted_flag_is_read(command, tmp_path):
+    parser = cli.build_parser()
+    subparser = parser._subparsers._group_actions[0].choices[command]
+    flags = {a.dest for a in subparser._actions if a.dest != "help"}
+    args = parser.parse_args([command, *INVOCATIONS[command],
+                              "--out", str(tmp_path / "out.csv")])
+    recorder = ReadRecorder(**vars(args))
+    assert args.func(recorder) == 0
+    assert recorder.reads == flags
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["winding", "--model", "rotating", "--b0", "2", "--b1", "1"],
+    ["converge", "--t-grid", "1:2:3", "--ncuts", "4,6"],
+    ["stepsize", "--param", "b0", "--delta", "1e-5"],
+    ["scan", "--sweep", "b0=0.4:0.6:2", "--smooth-window", "5"],
+    ["scaling", "--param", "b0", "--ncut", "6"],
+    ["scaling", "--param", "b0", "--t", "6.28"],
+])
+def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_config_key_naming_no_flag_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_cut = 8\n")
+    assert exit_code(["--config", str(cfg), "build", "--ncut", "4"]) == 2
+    assert "n_cut" in capsys.readouterr().err
+    # a key another subcommand reads stays allowed: configs share defaults
+    cfg.write_text("ncut = 4\nquad_points = 64\n")
+    out = tmp_path / "build.csv"
+    assert main(["--config", str(cfg), "build", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[1] == "4"
+
+
+def test_scaling_takes_t_grid_from_config(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("t_grid = 0.5:2:8\n")
+    out = tmp_path / "scaling.csv"
+    assert main(["--config", str(cfg), "scaling", "--param", "b0",
+                 "--ncut", "6", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[4] == "8"

@@ -140,6 +140,34 @@ def test_cfi_rejects_non_stroboscopic_time():
         session.cfi("b0", 1.0, PROBE)
 
 
+@pytest.mark.parametrize("omega", [2.0, 0.5])
+def test_stroboscopic_cfi_clock_is_the_drive_period(omega):
+    model = RashbaModel(0.5, 0.5, omega).hamiltonian()
+    session = EstimationSession(model, ["b0"], n_cut=10)
+    period = 2 * math.pi / omega
+    assert session.cfi("b0", period, PROBE) == session.cfi(
+        "b0", period, PROBE, stroboscopic=False)
+    with pytest.raises(ValueError, match="drive period"):
+        session.cfi("b0", period / 2, PROBE)
+
+
+def test_report_rejects_arguments_that_differ_from_the_session():
+    model = RashbaModel(0.7, 0.4, 1.0).hamiltonian()
+    session = EstimationSession(model, ["b0"], n_cut=10, delta=1e-5)
+    estimation_report(model, ["b0"], PROBE, PERIOD, n_cut=10, delta=1e-5,
+                      session=session)
+    other = RashbaModel(0.8, 0.4, 1.0).hamiltonian()
+    for name, kwargs in (("model", dict(model=other)),
+                         ("params", dict(params=["b0", "b1"])),
+                         ("n_cut", dict(n_cut=12)),
+                         ("delta", dict(delta=1e-6))):
+        args = dict(model=model, params=["b0"], probe=PROBE, t=PERIOD,
+                    session=session)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=f"^{name}="):
+            estimation_report(**args)
+
+
 def test_probe_normalization_enforced():
     session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
                                 ["b0"], n_cut=10)
