@@ -2,11 +2,11 @@
 
 Builds truncated extended-space (Sambe) Hamiltonians for time-periodic
 two-level systems, maps the exact propagator back to the physical space,
-and runs a finite-difference quantum-metrology pipeline: generators split
-into eigenmode / quasienergy / multi-photon components, QFI with its exact
-decomposition, upper bounds, stroboscopic CFI, and parameter
-incompatibility.  Ships a Rashba ring-interferometer model with topology
-diagnostics and a rotating-field benchmark with closed-form oracles.
+and runs a quantum-metrology pipeline on exact Floquet-mode derivatives:
+generators split into eigenmode / quasienergy / multi-photon components,
+QFI with its exact decomposition, upper bounds, stroboscopic CFI, and
+parameter incompatibility.  Ships a Rashba ring-interferometer model with
+topology diagnostics and a rotating-field benchmark with closed-form oracles.
 """
 from .sambe import (FloquetBuildError, FloquetMatrix, PeriodicHamiltonian,
                     SambeIndex, build_floquet_matrix, flat_index,
@@ -14,16 +14,16 @@ from .sambe import (FloquetBuildError, FloquetMatrix, PeriodicHamiltonian,
                     periodic_hamiltonian_from_timedomain, sambe_index,
                     truncation_ladder)
 from .spectral import (AmplitudeTable, DiagonalizationError, FloquetSpectrum,
-                       amplitude_table, diagonalize, fold_to_fbz)
+                       TruncationError, amplitude_table, diagonalize,
+                       fold_to_fbz)
 from .propagator import (PropagatorSample, TransitionProbability,
                          averaged_probability_longtime,
                          averaged_probability_shirley, evolve,
                          transition_probability)
 from .metrology import (EstimationReport, EstimationSession, GeneratorSet,
-                        InvariantViolation, PairingError, ParameterEstimate,
-                        covariance, estimation_report, generator,
-                        incompatibility, local_mean, qfi, qfi_upper_bound,
-                        variance)
+                        InvariantViolation, ParameterEstimate, covariance,
+                        estimation_report, generator, incompatibility,
+                        local_mean, qfi, qfi_upper_bound, variance)
 from .models import (RashbaModel, RotatingFieldModel, PhaseReport,
                      berry_phase_adiabatic, driving_curvature,
                      instantaneous_spectrum, rotating_generator_analytic,
@@ -40,9 +40,9 @@ __all__ = [
     "AmplitudeTable", "DiagonalizationError", "EstimationReport",
     "EstimationSession", "FloquetBuildError", "FloquetMatrix",
     "FloquetSpectrum", "GeneratorSet", "InvariantViolation", "OracleConfig",
-    "PairingError", "ParameterEstimate", "PeriodicHamiltonian", "PhaseReport",
+    "ParameterEstimate", "PeriodicHamiltonian", "PhaseReport",
     "PropagatorSample", "RashbaModel", "RotatingFieldModel", "SambeIndex",
-    "TransitionProbability", "amplitude_table",
+    "TransitionProbability", "TruncationError", "amplitude_table",
     "averaged_probability_longtime", "averaged_probability_shirley",
     "berry_phase_adiabatic", "build_floquet_matrix", "covariance",
     "diagonalize", "driving_curvature", "estimation_report", "evolve",

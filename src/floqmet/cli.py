@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models as mdl
-from .metrology import (DEFAULT_FD_STEP, DEFAULT_N_CUT, DEFAULT_SMOOTH_WINDOW,
-                        EstimationSession, InvariantViolation, estimation_report,
-                        local_mean)
+from .metrology import (DEFAULT_N_CUT, DEFAULT_SMOOTH_WINDOW, EstimationSession,
+                        InvariantViolation, estimation_report, local_mean,
+                        variance)
 from .models import RashbaModel, RotatingFieldModel
 from .propagator import evolve
 from .reference import OracleConfig, propagate_direct, unitarity_defect
@@ -98,7 +98,6 @@ class ScanSpec:
     fixed: dict
     times: list[float]
     n_cut: int = DEFAULT_N_CUT
-    fd_step: float = DEFAULT_FD_STEP
     probe: str = "gs-h0"
     jobs: int = 1
 
@@ -120,12 +119,11 @@ def _scan_point(args) -> list[dict]:
     rows = []
     for t in spec.times:
         row = {name: values[name] for name in names}
-        row.update(time=t, n_cut=spec.n_cut, fd_step=spec.fd_step,
-                   probe=spec.probe, error="")
+        row.update(time=t, n_cut=spec.n_cut, probe=spec.probe, error="")
         try:
             if session is None:
                 session = EstimationSession(make_model(spec.model, values),
-                                            params, spec.n_cut, spec.fd_step)
+                                            params, spec.n_cut)
             probe = parse_probe(spec.probe)
             report = estimation_report(session.model, params, probe, t,
                                        session=session)
@@ -137,7 +135,6 @@ def _scan_point(args) -> list[dict]:
                 row[f"qfi_{p}_coherence"] = est.qfi_coherence
                 row[f"bound_{p}"] = est.qfi_upper_bound
                 row[f"cfi_{p}"] = est.cfi
-                row[f"gauge_reliable_{p}"] = int(est.gauge_reliable)
             for (l, lp), om in report.incompatibility.items():
                 row[f"omega_{l}_{lp}"] = om
         except Exception as exc:  # per-point failure: record, keep scanning
@@ -152,11 +149,11 @@ def scan_columns(spec: ScanSpec) -> list[str]:
     for p in names:
         cols += [f"qfi_{p}", f"qfi_{p}_eigenmode", f"qfi_{p}_quasienergy",
                  f"qfi_{p}_multiphoton", f"qfi_{p}_coherence", f"bound_{p}",
-                 f"cfi_{p}", f"gauge_reliable_{p}"]
+                 f"cfi_{p}"]
     for i, l in enumerate(names):
         for lp in names[i + 1:]:
             cols.append(f"omega_{l}_{lp}")
-    cols += ["n_cut", "fd_step", "probe", "error"]
+    cols += ["n_cut", "probe", "error"]
     return cols
 
 
@@ -263,17 +260,16 @@ def cmd_scaling(args) -> int:
     model = make_model(args.model, _model_values(args))
     times = _times(args)
     if len(times) < 8:
-        raise SystemExit("scaling needs at least 8 time points")
+        raise ValueError("scaling needs at least 8 time points")
     probe = parse_probe(args.probe)
-    session = EstimationSession(model, [args.param], args.ncut, args.delta)
+    session = EstimationSession(model, [args.param], args.ncut)
     qfis = [estimation_report(model, [args.param], probe, t, session=session)
             .estimates[args.param].qfi_total for t in times]
     fit = fit_scaling(times, qfis, window=args.window,
                       smooth_window=args.smooth_window)
     rows = [{"param": args.param, "exponent": fit.exponent,
              "r_squared": fit.r_squared, "window": fit.window,
-             "points": len(fit.times), "n_cut": args.ncut,
-             "fd_step": args.delta}]
+             "points": len(fit.times), "n_cut": args.ncut}]
     write_table(rows, list(rows[0]), args.out, args.format)
     return EXIT_OK
 
@@ -287,8 +283,7 @@ def cmd_converge(args) -> int:
     rows = []
     previous: dict[str, float] = {}
     for n in n_cuts:
-        report = estimation_report(model, params, probe, args.t, n_cut=n,
-                                   delta=args.delta)
+        report = estimation_report(model, params, probe, args.t, n_cut=n)
         row = {"n_cut": n}
         for p in params:
             value = report.estimates[p].qfi_total
@@ -303,12 +298,20 @@ def cmd_converge(args) -> int:
 
 
 def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
-    """QFI(delta) plus a 5-point local standard deviation per delta."""
+    """QFI(delta) from a central difference of the session propagator (the
+    reports themselves differentiate exactly), plus a 5-point local
+    standard deviation per delta."""
+    x0 = model.params[param]
+
+    def u_at(x):
+        return EstimationSession(model.with_params(**{param: x}), [],
+                                 n_cut).propagator(t)
+
+    u0_dag, psi = u_at(x0).conj().T, np.asarray(probe, dtype=complex)
     values = []
     for d in deltas:
-        report = estimation_report(model, [param], probe, t, n_cut=n_cut,
-                                   delta=d)
-        values.append(report.estimates[param].qfi_total)
+        h = 1j * u0_dag @ (u_at(x0 + d) - u_at(x0 - d)) / (2 * d)
+        values.append(4.0 * variance(0.5 * (h + h.conj().T), psi))
     values = np.asarray(values)
     rows = []
     for i, d in enumerate(deltas):
@@ -324,7 +327,7 @@ def cmd_stepsize(args) -> int:
     deltas = np.asarray([float(d) for d in args.deltas.split(",")])
     span = math.log10(deltas.max() / deltas.min())
     if span < 3:
-        raise SystemExit(f"step-size study should span >= 3 decades, got {span:.1f}")
+        raise ValueError(f"step-size study should span >= 3 decades, got {span:.1f}")
     rows = stepsize_study(model, args.param, probe, args.t, deltas, args.ncut)
     write_table(rows, ["delta", "qfi", "local_std"], args.out, args.format)
     return EXIT_OK
@@ -386,7 +389,7 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     lo, hi, points = grid.split(":")
     points = int(points)
     if points < 2:
-        raise SystemExit(f"sweep {name!r} needs at least 2 points")
+        raise ValueError(f"sweep {name!r} needs at least 2 points")
     return name, float(lo), float(hi), points
 
 
@@ -402,7 +405,16 @@ def _scan_spec(args, sweeps, jobs: int = 1) -> ScanSpec:
     fixed = {n: values[n] for n in names}
     return ScanSpec(
         model=args.model, sweeps=sweeps, fixed=fixed, times=_times(args),
-        n_cut=args.ncut, fd_step=args.delta, probe=args.probe, jobs=jobs)
+        n_cut=args.ncut, probe=args.probe, jobs=jobs)
+
+
+class _AppendOverDefault(argparse._AppendAction):
+    """`append` whose first command-line value replaces the default list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is self.default:
+            setattr(namespace, self.dest, [])
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _read_config(path: str) -> dict:
@@ -427,7 +439,6 @@ SHARED_FLAGS = {
     "--b": dict(type=float, default=0.5),
     "--omega": dict(type=float, default=1.0),
     "--ncut": dict(type=int, default=DEFAULT_N_CUT),
-    "--delta": dict(type=float, default=DEFAULT_FD_STEP),
     "--probe": dict(default="gs-h0"),
     "--t": dict(type=float, default=2 * math.pi),
     "--t-grid": dict(default=None, help="start:stop:points time grid"),
@@ -437,7 +448,6 @@ SHARED_FLAGS = {
 }
 MODEL_FLAGS = "--model --b0 --b1 --b --omega"
 RASHBA_FLAGS = "--b0 --b1 --omega"
-FD_FLAGS = "--delta --probe"
 OUTPUT_FLAGS = "--out --format"
 
 
@@ -460,23 +470,23 @@ def build_parser() -> argparse.ArgumentParser:
     command("evolve", cmd_evolve, "propagator samples",
             MODEL_FLAGS, "--ncut --t --t-grid", OUTPUT_FLAGS)
     command("qfi", cmd_qfi, "single-point estimation report",
-            MODEL_FLAGS, "--ncut", FD_FLAGS, "--t --t-grid", OUTPUT_FLAGS)
+            MODEL_FLAGS, "--ncut --probe --t --t-grid", OUTPUT_FLAGS)
 
     p = command("scan", cmd_scan, "parameter scan", MODEL_FLAGS, "--ncut",
-                FD_FLAGS, "--t --t-grid --jobs", OUTPUT_FLAGS)
-    p.add_argument("--sweep", action="append", default=[],
+                "--probe --t --t-grid --jobs", OUTPUT_FLAGS)
+    p.add_argument("--sweep", action=_AppendOverDefault, default=[],
                    metavar="PARAM=lo:hi:points", required=True)
 
     p = command("scaling", cmd_scaling,
                 "QFI-vs-time power-law fit (needs --t-grid)",
-                MODEL_FLAGS, "--ncut", FD_FLAGS, "--t-grid", OUTPUT_FLAGS)
+                MODEL_FLAGS, "--ncut --probe --t-grid", OUTPUT_FLAGS)
     p.add_argument("--param", required=True)
     p.add_argument("--window", default="raw", choices=("raw", "local-mean"))
     p.add_argument("--smooth-window", type=int, default=DEFAULT_SMOOTH_WINDOW)
 
     p = command("converge", cmd_converge, "truncation convergence table",
-                MODEL_FLAGS, FD_FLAGS, "--t", OUTPUT_FLAGS)
-    p.add_argument("--param", action="append", default=None)
+                MODEL_FLAGS, "--probe --t", OUTPUT_FLAGS)
+    p.add_argument("--param", action=_AppendOverDefault, default=None)
     p.add_argument("--ncuts", default="10,20,30,40,50,51")
 
     p = command("stepsize", cmd_stepsize, "finite-difference step study",
@@ -511,14 +521,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    pre, _ = parser.parse_known_args(argv)
-    if getattr(pre, "config", None):
-        config = _read_config(pre.config)
+    # read --config alone first: a flag it supplies may be a required one
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
+    if config_path:
+        config = _read_config(config_path)
         unused = set(config)
-        for action in parser._subparsers._group_actions[0].choices.values():
-            dests = {a.dest for a in action._actions} - {"help"}
-            action.set_defaults(**{k: v for k, v in config.items() if k in dests})
-            unused -= dests
+        for sub in parser._subparsers._group_actions[0].choices.values():
+            for action in sub._actions:
+                if action.dest in config and action.dest != "help":
+                    action.default, action.required = config[action.dest], False
+                    if isinstance(action, _AppendOverDefault):  # "a b" -> 2
+                        action.default = action.default.split()
+                    unused.discard(action.dest)
         if unused:
             parser.error(f"config key(s) {', '.join(sorted(unused))} name no "
                          "flag of any subcommand")

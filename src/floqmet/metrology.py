@@ -1,11 +1,33 @@
-"""Finite-difference estimation pipeline: generators, their Floquet-resolved
-components, QFI, QFI upper bounds, stroboscopic CFI, and incompatibility.
+"""Estimation pipeline: generators split into their Floquet components, QFI,
+QFI upper bounds, stroboscopic CFI and incompatibility, from one
+diagonalization of the Sambe matrix M.  Generators are initial-frame,
+h = i U^dag dU/dx, whose probe variances are the QFI of the evolved states.
 
-Derivatives of the propagator are taken by central differences of the full
-Sambe-space pipeline at shifted parameter values.  The generator convention
-is the initial-frame one, h = i U^dag (dU/dx): probe-state variances of this
-operator are the true quantum Fisher information of the evolved-state
-family, and it reproduces the rotating-field closed forms directly.
+The N physical modes (phi_a, eps_a) of M (`FloquetSpectrum.physical_modes`)
+give U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag, u_a(t) = sum_k phi_{a,k}
+e^{ikwt}; every other eigenvector is a replica s_m phi_a, shifted by m
+sectors, at eps_a + m w (Sambe, PRA 7, 2203 (1973)).  U = R_t e^{-iMt} I_0,
+with I_0 injecting into sector 0 and R_t = sum_k e^{ikwt} <k| reading out.
+The Daleckii-Krein form of d e^{-iMt}/dx in the replica basis folds back to
+the N modes, as dM/dx is block-Toeplitz up to the ladder:
+
+    dU/dx = sum_{a,b,j} u_a(t) W^(j)_ab F^(j)_ab u_b(0)^dag + L
+    W^(j)_ab = <phi_a| dM/dx |s_j phi_b>,  dM/dx = Sambe matrix of dH^(n)/dx
+    F^(j)_ab = -i t e^{-i(A+B)t/2} sinc((A-B)t/2pi),  A = eps_a, B = eps_b + j w
+
+F, the divided difference of e^{-i lam t}, is finite at exact degeneracies.
+For x = w, dM/dx gains diag(k) (x) 1 and dR_t/dw adds L = i t sum_a
+e^{-i eps_a t} (sum_k k phi_{a,k} e^{ikwt}) u_a(0)^dag; otherwise L = 0.
+The components keep the split of U = sum_{lam,k} |k><k|lam><lam|0>
+e^{-i lam t} e^{ikwt} over all of M: eigenmode = d(amplitudes), quasienergy
+= d lam, multiphoton = d e^{ikwt}.  For x = w, replica (a, m) has d lam =
+d eps_a + m, and dR_t/dw gives it the same m; summed over m, these add -X
+to the quasienergy and +X to the multiphoton part (X = 0 for x != w), with
+X = i t sum_a u_a(t) e^{-i eps_a t} (sum_k (-k) phi_{a,k})^dag.  As W^(0)_aa
+= d eps_a/dx (Hellmann-Feynman) and F^(0)_aa = -i t e^{-i eps_a t}, the
+quasienergy part is sum_a u_a(t) W^(0)_aa F^(0)_aa u_a(0)^dag - X, the
+multiphoton part L + X, the eigenmode part the rest of the W F sum; at
+t = l T and x != w, h_quasienergy = l T sum_a (d eps_a/dx) |u_a(0)><u_a(0)|.
 """
 from __future__ import annotations
 
@@ -16,21 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sambe import PeriodicHamiltonian, build_floquet_matrix
-from .spectral import FloquetSpectrum, diagonalize
-from .propagator import evolve
+from .spectral import diagonalize
 
 DEFAULT_N_CUT = 50
-DEFAULT_FD_STEP = 1e-6
 DEFAULT_SMOOTH_WINDOW = 21
 DECOMPOSITION_TOL = 1e-6
-PAIRING_ABORT_OVERLAP = 0.5
-PAIRING_RELIABLE_OVERLAP = 0.95
 PRESYM_WARN = 1e-4
 CFI_PROB_FLOOR = 1e-12
-
-
-class PairingError(RuntimeError):
-    """Eigenmode pairing across the finite-difference stencil failed."""
 
 
 class InvariantViolation(RuntimeError):
@@ -42,22 +56,17 @@ class GeneratorSet:
     """Generator for one parameter, split into its three Floquet components.
 
     The split is exact by construction: eigenmode + quasienergy + multiphoton
-    telescopes to the central difference of the full propagator, so the total
-    equals the component sum to roundoff.  `gauge_reliable` is False when
-    near-degenerate modes made the individual components untrustworthy (the
-    total stays valid either way).
+    sums to the derivative of the propagator, so the total equals the
+    component sum to roundoff.
     """
 
     param: str
     time: float
-    fd_step: float
     total: np.ndarray = field(repr=False)
     eigenmode: np.ndarray = field(repr=False)
     quasienergy: np.ndarray = field(repr=False)
     multiphoton: np.ndarray = field(repr=False)
     presym_defect: float = 0.0
-    min_pair_overlap: float = 1.0
-    gauge_reliable: bool = True
 
     def component_sum_defect(self) -> float:
         s = self.eigenmode + self.quasienergy + self.multiphoton
@@ -106,117 +115,93 @@ def local_mean(values, window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
     return np.convolve(values, kernel, mode="same") / norm
 
 
-class _ParameterShift:
-    """Paired spectra at x +/- delta for one parameter.
+def _replica_couplings(model: PeriodicHamiltonian, phi: np.ndarray, params,
+                       shifts: np.ndarray) -> np.ndarray:
+    """W[p, j, a, b] = <phi_a| dM/dx_p |s_j phi_b> for every j in `shifts`.
 
-    Only the spectra are kept; the dU/dx contraction reads their eigenvector
-    tables directly, so no amplitude table is ever built.
+    dM/dx convolves the Fourier index with dH^(n)/dx (plus diag(k) for x =
+    omega), so W is a correlation over k: zero-padded to L = len(shifts),
+    shift j sits at index -j mod L of the inverse FFT.  dH^(n)/dx is a central
+    difference with step |x| / 2 (1/2 at x = 0), which keeps omega positive
+    and is exact up to roundoff for components at most quadratic in x.
     """
-
-    def __init__(self, model: PeriodicHamiltonian, param: str, n_cut: int,
-                 delta: float):
-        if delta <= 0:
-            raise ValueError("fd step must be positive")
-        if param not in model.params:
-            raise KeyError(f"parameter {param!r} not in model params")
-        self.param = param
-        self.delta = delta
-        x0 = model.params[param]
-        model_minus = model.with_params(**{param: x0 - delta})
-        model_plus = model.with_params(**{param: x0 + delta})
-        self.spec_minus = diagonalize(build_floquet_matrix(model_minus, n_cut))
-        self.spec_plus = diagonalize(build_floquet_matrix(model_plus, n_cut))
-        self._check_pairing()
-
-    def _check_pairing(self) -> None:
-        # sorted-order pairing, verified by eigenvector overlap
-        overlaps = np.abs(np.einsum(
-            "ia,ia->a", self.spec_minus.eigenvectors.conj(),
-            self.spec_plus.eigenvectors))
-        interior = self.spec_minus.interior_modes()
-        if interior.size:
-            self.min_pair_overlap = float(np.min(overlaps[interior]))
-        else:
-            self.min_pair_overlap = float(np.min(overlaps))
-        if interior.size and np.min(overlaps[interior]) < PAIRING_ABORT_OVERLAP:
-            worst = interior[np.argmin(overlaps[interior])]
-            raise PairingError(
-                f"eigenmode pairing failed for param {self.param!r}: interior "
-                f"mode {worst} has overlap {overlaps[worst]:.3f} < "
-                f"{PAIRING_ABORT_OVERLAP} (near-degenerate subspace; "
-                "reduce delta or accept total-only generators)")
-        self.gauge_reliable = self.min_pair_overlap >= PAIRING_RELIABLE_OVERLAP
+    size, levels = len(shifts), phi.shape[1]
+    k = np.arange(len(phi))[:, None, None] - (len(phi) - 1) // 2
+    phi_hat = np.fft.fft(phi, size, axis=0)              # [f, level, mode]
+    harmonics = np.arange(-model.max_harmonic, model.max_harmonic + 1)
+    out = []
+    for p in params:
+        if p not in model.params:
+            raise KeyError(f"parameter {p!r} not in model params")
+        x = model.params[p]
+        step = 0.5 * (abs(x) or 1.0)
+        lo, hi = (model.with_params(**{p: x + s * step}) for s in (-1, 1))
+        dm = np.zeros((size, levels, levels), dtype=complex)
+        dm[harmonics % size] = [(hi.component(n) - lo.component(n)) / (2 * step)
+                                for n in harmonics]
+        coupling = np.einsum("fga,fgd,fdb->fab", phi_hat.conj(),
+                             np.fft.fft(dm, axis=0), phi_hat)
+        if p == "omega":
+            coupling += np.einsum("fga,fgb->fab",
+                                  np.fft.fft(k * phi, size, axis=0).conj(), phi_hat)
+        out.append(np.fft.ifft(coupling, axis=0)[-shifts % size])
+    return np.array(out).reshape(len(params), size, phi.shape[2], phi.shape[2])
 
 
 class EstimationSession:
-    """Shared diagonalizations for one model point, reusable across times.
-
-    Spectra do not depend on the evaluation time, so scans over t reuse the
-    center and shifted spectra computed here.
-    """
+    """One diagonalization per model point, reused across times: the N
+    physical Floquet modes and each parameter's replica couplings."""
 
     def __init__(self, model: PeriodicHamiltonian, params,
-                 n_cut: int = DEFAULT_N_CUT, delta: float = DEFAULT_FD_STEP):
+                 n_cut: int = DEFAULT_N_CUT):
         self.model = model
         self.params = list(params)
         self.n_cut = n_cut
-        self.delta = delta
         self.center = diagonalize(build_floquet_matrix(model, n_cut))
-        self.shifts = {p: _ParameterShift(model, p, n_cut, delta)
-                       for p in self.params}
+        modes = self.center.physical_modes()
+        self.quasienergies = self.center.eigenvalues[modes]
+        self._k = np.arange(-n_cut, n_cut + 1)
+        self._phi = self.center.sector_view()[:, :, modes]    # [k, level, mode]
+        self._u0_dag = self._phi.sum(axis=0).conj().T
+        self._ku0_dag = np.tensordot(self._k, self._phi, axes=(0, 0)).conj().T
+        reach = 2 * n_cut + model.max_harmonic
+        self._shifts = np.arange(-reach, reach + 1)
+        self._couplings = _replica_couplings(model, self._phi, self.params,
+                                             self._shifts)
+        self._d_eps = np.diagonal(self._couplings[:, reach], axis1=1, axis2=2)
+
+    def _modes_at(self, t: float):  # e^{ikwt}, columns u_a(t), e^{-i eps_a t}
+        phase = np.exp(1j * self._k * self.model.omega * t)
+        return (phase, np.tensordot(phase, self._phi, axes=(0, 0)),
+                np.exp(-1j * self.quasienergies * t))
 
     def propagator(self, t: float) -> np.ndarray:
-        return evolve(self.center, t).u_matrix
+        _, u_t, g = self._modes_at(t)
+        return (u_t * g) @ self._u0_dag
 
-    def _du_components(self, param: str, t: float):
-        """Central-difference dU/dx split exactly into the three components.
-
-        For factors f = B_{alpha k}, g = e^{-i lam t}, h = e^{i k w t}, the
-        identity  f+g+h+ - f-g-h- = Df (gh)bar + fbar (Dg hbar + gbar Dh)
-        attributes the difference to eigenmodes, quasienergies, and the
-        multi-photon ladder without any telescoping error.
-
-        Every weight is rank one in (alpha, k), so each sum over B factors
-        through the eigenvector table D[k, gamma, alpha]:
-        sum_{alpha,k} B g_alpha h_k = ((sum_k h_k D_k) * g) @ D_0^dagger.
-        The tables B are never formed; only the h vectors that differ
-        between the two shifted spectra need their own sector sum.
-        """
-        shift = self.shifts[param]
-        sm, sp = shift.spec_minus, shift.spec_plus
-        k = np.arange(-self.n_cut, self.n_cut + 1)
-        g_m = np.exp(-1j * sm.eigenvalues * t)
-        g_p = np.exp(-1j * sp.eigenvalues * t)
-        h_m = np.exp(1j * k * sm.omega * t)
-        h_p = np.exp(1j * k * sp.omega * t)
-        g_bar, dg = 0.5 * (g_p + g_m), g_p - g_m
-        ladder_moves = sp.omega != sm.omega  # Dh is identically zero otherwise
-        inv = 1.0 / (2.0 * shift.delta)
-
-        # distinct h vectors: h+, h-, hbar, Dh, or the single shared h
-        hs = (np.stack([h_p, h_m, 0.5 * (h_p + h_m), h_p - h_m])
-              if ladder_moves else h_p[None])
-        parts = []
-        for spec in (sp, sm):
-            view = spec.sector_view()                 # [k, gamma, alpha]
-            out = view[self.n_cut].conj().T           # [alpha, beta]
-            y = (hs @ view.reshape(view.shape[0], -1)).reshape(
-                len(hs), *view.shape[1:])             # [h, gamma, alpha]
-            if ladder_moves:
-                weights = [0.5 * (y[0] * g_p + y[1] * g_m), y[2] * dg,
-                           y[3] * g_bar]
-            else:
-                weights = [0.5 * (y[0] * g_p + y[0] * g_m), y[0] * dg]
-            parts.append(np.stack(weights) @ out)
-        plus, minus = parts
-
-        du_eig = (plus[0] - minus[0]) * inv
-        du_quasi = 0.5 * (plus[1] + minus[1]) * inv
-        if ladder_moves:
-            du_mp = 0.5 * (plus[2] + minus[2]) * inv
-        else:
-            du_mp = np.zeros_like(du_eig)
-        return du_eig, du_quasi, du_mp
+    def _derivatives(self, t: float):
+        """U(t) and, per parameter, dU/dx as its (eigenmode, quasienergy,
+        multiphoton) parts, as derived in the module docstring."""
+        phase, u_t, g = self._modes_at(t)
+        a = self.quasienergies[:, None]
+        b = self.quasienergies + self._shifts[:, None, None] * self.model.omega
+        f = (-1j * t * np.exp(-0.5j * (a + b) * t)
+             * np.sinc((a - b) * t / (2.0 * np.pi)))           # [j, a, b]
+        quasi = self._d_eps * (-1j * t * g)                    # [p, a]
+        c = np.einsum("pjab,jab->pab", self._couplings, f)
+        u = (u_t * g) @ self._u0_dag
+        parts = {}
+        for i, p in enumerate(self.params):
+            du_eig = u_t @ (c[i] - np.diag(quasi[i])) @ self._u0_dag
+            du_quasi = (u_t * quasi[i]) @ self._u0_dag
+            du_mp = np.zeros_like(u)
+            if p == "omega":
+                ku_t = np.tensordot(self._k * phase, self._phi, axes=(0, 0))
+                x = -1j * t * (u_t * g) @ self._ku0_dag
+                du_quasi = du_quasi - x
+                du_mp = 1j * t * (ku_t * g) @ self._u0_dag + x
+            parts[p] = (du_eig, du_quasi, du_mp)
+        return u, parts
 
     def _generator_from(self, param: str, t: float, u0: np.ndarray,
                         parts) -> GeneratorSet:
@@ -228,25 +213,21 @@ class EstimationSession:
         if defect > PRESYM_WARN:
             warnings.warn(
                 f"generator Hermiticity defect {defect:.2e} for {param!r} at "
-                f"t={t:.4g}; finite-difference step {self.delta:.1e} may be "
-                "pathological", stacklevel=3)
-        shift = self.shifts[param]
+                f"t={t:.4g}; n_cut={self.n_cut} may be too small",
+                stacklevel=3)
         return GeneratorSet(
             param=param,
             time=t,
-            fd_step=self.delta,
             total=total,
             eigenmode=_hermitize(1j * u0_dag @ du_eig)[0],
             quasienergy=_hermitize(1j * u0_dag @ du_quasi)[0],
             multiphoton=_hermitize(1j * u0_dag @ du_mp)[0],
             presym_defect=defect,
-            min_pair_overlap=shift.min_pair_overlap,
-            gauge_reliable=shift.gauge_reliable,
         )
 
     def generator_set(self, param: str, t: float) -> GeneratorSet:
-        return self._generator_from(param, t, self.propagator(t),
-                                    self._du_components(param, t))
+        u, parts = self._derivatives(t)
+        return self._generator_from(param, t, u, parts[param])
 
     def cfi(self, param: str, t: float, probe,
             stroboscopic: bool = True) -> float:
@@ -265,8 +246,8 @@ class EstimationSession:
                     f"t={t:.6g} is not a positive multiple of the drive period "
                     f"{t0:.6g}; use stroboscopic=False for general-t CFI")
         psi = _as_probe(probe, self.model.levels)
-        return _level_basis_cfi(self.propagator(t),
-                                sum(self._du_components(param, t)), psi)
+        u, parts = self._derivatives(t)
+        return _level_basis_cfi(u, sum(parts[param]), psi)
 
 
 def _level_basis_cfi(u0: np.ndarray, du: np.ndarray, psi: np.ndarray) -> float:
@@ -300,7 +281,6 @@ class ParameterEstimate:
     qfi_upper_bound: float
     cfi: float
     presym_defect: float
-    gauge_reliable: bool
 
     def decomposition_defect(self) -> float:
         parts = (self.qfi_eigenmode + self.qfi_quasienergy
@@ -317,7 +297,6 @@ class EstimationReport:
     probe: np.ndarray = field(repr=False)
     time: float = 0.0
     n_cut: int = DEFAULT_N_CUT
-    fd_step: float = DEFAULT_FD_STEP
 
     def omega_matrix_entry(self, l: str, lp: str) -> float:
         if l == lp:
@@ -354,7 +333,6 @@ def qfi(gen: GeneratorSet, probe) -> ParameterEstimate:
         qfi_upper_bound=qfi_upper_bound(gen),
         cfi=float("nan"),
         presym_defect=gen.presym_defect,
-        gauge_reliable=gen.gauge_reliable,
     )
 
 
@@ -374,15 +352,13 @@ def incompatibility(gen_l: GeneratorSet, gen_lp: GeneratorSet, probe) -> float:
 
 
 def generator(model: PeriodicHamiltonian, param: str, t: float,
-              n_cut: int = DEFAULT_N_CUT,
-              delta: float = DEFAULT_FD_STEP) -> GeneratorSet:
+              n_cut: int = DEFAULT_N_CUT) -> GeneratorSet:
     """One-shot generator computation (builds a throwaway session)."""
-    return EstimationSession(model, [param], n_cut, delta).generator_set(param, t)
+    return EstimationSession(model, [param], n_cut).generator_set(param, t)
 
 
 def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
                       n_cut: int | None = None,
-                      delta: float | None = None,
                       session: EstimationSession | None = None) -> EstimationReport:
     """Fully populated estimation record for one (model, time) point.
 
@@ -391,30 +367,28 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
     a violated state.  Pass an existing `session` to reuse diagonalizations
     across times; the arguments given (not None) must then match it.
 
-    U(t) is evaluated once and each parameter's dU/dx split once; the
-    generator and the CFI both read those values.  The CFI is the general-t
+    U(t) and every parameter's dU/dx split are evaluated once; the
+    generators and the CFI all read those values.  The CFI is the general-t
     value.
     """
     if session is None:
         session = EstimationSession(
-            model, params, DEFAULT_N_CUT if n_cut is None else n_cut,
-            DEFAULT_FD_STEP if delta is None else delta)
+            model, params, DEFAULT_N_CUT if n_cut is None else n_cut)
     else:
         for name, value in (("model", model), ("params", list(params)),
-                            ("n_cut", n_cut), ("delta", delta)):
+                            ("n_cut", n_cut)):
             if value is not None and value != getattr(session, name):
                 raise ValueError(f"{name}={value!r} differs from the session's "
                                  f"{getattr(session, name)!r}")
     psi = _as_probe(probe, model.levels)
-    u0 = session.propagator(t)
+    u0, parts = session._derivatives(t)
 
     gens: dict[str, GeneratorSet] = {}
     estimates: dict[str, ParameterEstimate] = {}
     for p in session.params:
-        parts = session._du_components(p, t)
-        gens[p] = session._generator_from(p, t, u0, parts)
+        gens[p] = session._generator_from(p, t, u0, parts[p])
         est = qfi(gens[p], psi)
-        est.cfi = _level_basis_cfi(u0, sum(parts), psi)
+        est.cfi = _level_basis_cfi(u0, sum(parts[p]), psi)
         estimates[p] = est
 
     incomp = {}
@@ -429,7 +403,6 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
         probe=psi,
         time=t,
         n_cut=session.n_cut,
-        fd_step=session.delta,
     )
     _check_report(report)
     return report

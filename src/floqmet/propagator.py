@@ -5,9 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FloquetSpectrum
-
-DEFECT_TOL = 1e-6
+from .spectral import DEFECT_TOL, FloquetSpectrum
 
 
 @dataclass

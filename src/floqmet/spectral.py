@@ -7,11 +7,15 @@ import numpy as np
 
 from .sambe import FloquetMatrix
 
-EDGE_MODE_WEIGHT = 1e-3
+DEFECT_TOL = 1e-6
 
 
 class DiagonalizationError(RuntimeError):
     """Hermitian eigensolver failure, with condition diagnostics attached."""
+
+
+class TruncationError(ValueError):
+    """The Fourier cutoff is too small to hold the physical Floquet modes."""
 
 
 def fold_to_fbz(lambdas, omega: float):
@@ -67,18 +71,25 @@ class FloquetSpectrum:
         outer = np.abs(view[0]) ** 2 + np.abs(view[-1]) ** 2
         return outer.sum(axis=0)
 
-    def edge_modes(self, threshold: float = EDGE_MODE_WEIGHT) -> np.ndarray:
-        """Indices of truncation-polluted modes (heavy outermost-sector weight)."""
-        return np.nonzero(self.edge_weights() > threshold)[0]
-
-    def interior_modes(self, threshold: float = 1e-8) -> np.ndarray:
-        return np.nonzero(self.edge_weights() < threshold)[0]
-
     def physical_modes(self) -> np.ndarray:
-        """One representative mode per level: largest central-sector weight."""
-        central = np.abs(self.sector_view()[self.n_cut]) ** 2  # [level, mode]
-        weight = central.sum(axis=0)
-        return np.sort(np.argsort(weight)[-self.levels:])
+        """The N physical Floquet modes: of the modes whose mean Fourier index
+        sum_k k |phi_k|^2 lies in (-1/2, 1/2] (one replica per branch), the N
+        with the lowest edge weight.  `TruncationError` when fewer qualify or
+        their u_a(0) = sum_k phi_{a,k} are not orthonormal within DEFECT_TOL."""
+        view = self.sector_view()
+        k = np.arange(-self.n_cut, self.n_cut + 1)
+        mean_k = np.einsum("k,kgm->m", k, np.abs(view) ** 2)
+        qualify = np.nonzero((mean_k > -0.5) & (mean_k <= 0.5))[0]
+        by_edge = np.argsort(self.edge_weights()[qualify], kind="stable")
+        modes = np.sort(qualify[by_edge[:self.levels]])
+        u0 = view[:, :, modes].sum(axis=0)
+        defect = np.max(np.abs(u0.conj().T @ u0 - np.eye(modes.size)), initial=0)
+        if modes.size < self.levels or defect > DEFECT_TOL:
+            raise TruncationError(
+                f"n_cut={self.n_cut} is too small: {modes.size} of {self.levels} "
+                f"physical Floquet modes, orthonormality defect {defect:.2e} "
+                f"(limit {DEFECT_TOL}); increase n_cut")
+        return modes
 
     def folded_gap(self) -> float:
         """Minimal FBZ (circular) spacing of the physical quasienergy branches.

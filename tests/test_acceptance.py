@@ -8,7 +8,6 @@ the way are collected so the global invariants (criteria 3 and 7) are also
 asserted across everything the suite emitted.
 """
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -131,15 +130,13 @@ def test_criterion_06_bound_saturation_at_transition():
     """QFI touches its upper bound along B0 = B1, with a large gap off it."""
     boundary = np.arange(1.0, 10.001, 0.2)
     gaps = {p: [] for p in PARAMS}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for s in boundary:
-            rep = report(RashbaModel(float(s), float(s), 1.0).hamiltonian(),
-                         PARAMS, SATURATING_PROBE, PERIOD)
-            for p in PARAMS:
-                est = rep.estimates[p]
-                gaps[p].append(
-                    (est.qfi_upper_bound - est.qfi_total) / est.qfi_upper_bound)
+    for s in boundary:
+        rep = report(RashbaModel(float(s), float(s), 1.0).hamiltonian(),
+                     PARAMS, SATURATING_PROBE, PERIOD)
+        for p in PARAMS:
+            est = rep.estimates[p]
+            gaps[p].append(
+                (est.qfi_upper_bound - est.qfi_total) / est.qfi_upper_bound)
     for p in PARAMS:
         assert float(np.max(local_mean(gaps[p], 21))) < 0.05
     # off the boundary the same probe leaves a large gap somewhere
@@ -161,14 +158,12 @@ def test_criterion_07_cfi_qfi_overlap():
     measurement (decisions ledger); CFI <= QFI + 1e-6 is asserted on every
     report the suite has emitted.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for s in (8.1, 8.5, 8.9, 9.3, 9.7, 10.0):
-            rep = report(RashbaModel(s, s, 1.0).hamiltonian(), PARAMS,
-                         GROUND_PROBE, PERIOD)
-            for p in PARAMS:
-                est = rep.estimates[p]
-                assert abs(est.cfi - est.qfi_total) / est.qfi_total < 0.05
+    for s in (8.1, 8.5, 8.9, 9.3, 9.7, 10.0):
+        rep = report(RashbaModel(s, s, 1.0).hamiltonian(), PARAMS,
+                     GROUND_PROBE, PERIOD)
+        for p in PARAMS:
+            est = rep.estimates[p]
+            assert abs(est.cfi - est.qfi_total) / est.qfi_total < 0.05
     for rep in REPORTS:
         for est in rep.estimates.values():
             if not math.isnan(est.cfi):
@@ -178,10 +173,8 @@ def test_criterion_07_cfi_qfi_overlap():
 def test_criterion_08_truncation_convergence():
     """Relative QFI change from n_cut 50 to 51 below 1e-5 at B0 = B1 = 10."""
     model = RashbaModel(10.0, 10.0, 1.0).hamiltonian()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values = {n: report(model, PARAMS, GROUND_PROBE, PERIOD, n_cut=n)
-                  for n in (50, 51)}
+    values = {n: report(model, PARAMS, GROUND_PROBE, PERIOD, n_cut=n)
+              for n in (50, 51)}
     for p in PARAMS:
         lo = values[50].estimates[p].qfi_total
         hi = values[51].estimates[p].qfi_total

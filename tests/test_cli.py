@@ -271,3 +271,34 @@ def test_scaling_takes_t_grid_from_config(tmp_path):
     assert main(["--config", str(cfg), "scaling", "--param", "b0",
                  "--ncut", "6", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1].split(",")[4] == "8"
+
+
+def test_config_sweep_is_a_list_the_command_line_replaces(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("sweep = b0=0.4:0.6:2\nncut = 6\n")
+    out = tmp_path / "scan.csv"
+    assert main(["--config", str(cfg), "scan", "--out", str(out)]) == 0
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["0.40000000000000002", "0.5"],
+                    ["0.59999999999999998", "0.5"]]
+    assert main(["--config", str(cfg), "scan", "--sweep", "b1=0.3:0.5:3",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert [b0 for b0, _ in rows] == ["0.5"] * 3
+    assert [float(b1) for _, b1 in rows] == [0.3, 0.4, 0.5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--sweep", "b0=0:1:1"],
+    ["stepsize", "--param", "b0", "--deltas", "1e-6,2e-6"],
+    ["scaling", "--param", "b0", "--t-grid", "0.5:2:4"],
+])
+def test_input_guards_exit_with_code_2(argv, capsys):
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_converge_reports_under_truncation(capsys):
+    assert exit_code(["converge", "--b0", "5", "--b1", "5", "--ncuts", "8,10",
+                      "--param", "b0"]) == 2
+    assert "n_cut=8" in capsys.readouterr().err

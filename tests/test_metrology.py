@@ -1,10 +1,11 @@
 """Estimation pipeline tests: generators, QFI, CFI, incompatibility."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from floqmet import metrology, spectral
+from floqmet import metrology, propagator, spectral
 from floqmet.metrology import (EstimationSession, GeneratorSet,
                                estimation_report, generator, incompatibility,
                                local_mean, qfi, qfi_upper_bound, variance,
@@ -13,8 +14,9 @@ from floqmet.models import (SIGMA_X, SIGMA_Y, SIGMA_Z, RashbaModel,
                             RotatingFieldModel, rotating_generator_analytic,
                             rotating_incompatibility_analytic)
 from floqmet.reference import OracleConfig, generator_direct
-from floqmet.sambe import PeriodicHamiltonian
-from floqmet.spectral import amplitude_table
+from floqmet.propagator import evolve
+from floqmet.sambe import PeriodicHamiltonian, build_floquet_matrix
+from floqmet.spectral import TruncationError, amplitude_table, diagonalize
 
 PROBE = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PERIOD = 2 * math.pi
@@ -22,7 +24,7 @@ PERIOD = 2 * math.pi
 
 def make_set(h, **overrides):
     zeros = np.zeros_like(h)
-    fields = dict(param="x", time=1.0, fd_step=1e-6, total=h, eigenmode=h,
+    fields = dict(param="x", time=1.0, total=h, eigenmode=h,
                   quasienergy=zeros, multiphoton=zeros)
     fields.update(overrides)
     return GeneratorSet(**fields)
@@ -153,19 +155,23 @@ def test_stroboscopic_cfi_clock_is_the_drive_period(omega):
 
 def test_report_rejects_arguments_that_differ_from_the_session():
     model = RashbaModel(0.7, 0.4, 1.0).hamiltonian()
-    session = EstimationSession(model, ["b0"], n_cut=10, delta=1e-5)
-    estimation_report(model, ["b0"], PROBE, PERIOD, n_cut=10, delta=1e-5,
-                      session=session)
+    session = EstimationSession(model, ["b0"], n_cut=10)
+    estimation_report(model, ["b0"], PROBE, PERIOD, n_cut=10, session=session)
     other = RashbaModel(0.8, 0.4, 1.0).hamiltonian()
     for name, kwargs in (("model", dict(model=other)),
                          ("params", dict(params=["b0", "b1"])),
-                         ("n_cut", dict(n_cut=12)),
-                         ("delta", dict(delta=1e-6))):
+                         ("n_cut", dict(n_cut=12))):
         args = dict(model=model, params=["b0"], probe=PROBE, t=PERIOD,
                     session=session)
         args.update(kwargs)
         with pytest.raises(ValueError, match=f"^{name}="):
             estimation_report(**args)
+
+
+def test_unknown_parameter_is_named():
+    with pytest.raises(KeyError, match="'x' not in model params"):
+        EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["x"],
+                          n_cut=10)
 
 
 def test_probe_normalization_enforced():
@@ -217,57 +223,52 @@ def test_session_reuse_is_consistent():
         b.estimates["b0"].qfi_total, rel=1e-12)
 
 
-def table_components(session, param, t):
-    """dU/dx split by the amplitude-table formula, as a reference."""
-    shift = session.shifts[param]
-    sm, sp = shift.spec_minus, shift.spec_plus
-    b_m = amplitude_table(sm).entries
-    b_p = amplitude_table(sp).entries
-    k = np.arange(-session.n_cut, session.n_cut + 1)
-    g_m = np.exp(-1j * sm.eigenvalues * t)
-    g_p = np.exp(-1j * sp.eigenvalues * t)
-    h_m = np.exp(1j * k * sm.omega * t)
-    h_p = np.exp(1j * k * sp.omega * t)
-    inv = 1.0 / (2.0 * shift.delta)
+def table_components(model, param, t, n_cut, delta):
+    """dU/dx split by central differences of the amplitude tables, the
+    eigenmode / quasienergy / multiphoton convention the exact split keeps."""
+    x0 = model.params[param]
+    sp, sm = (diagonalize(build_floquet_matrix(
+        model.with_params(**{param: x0 + s * delta}), n_cut)) for s in (1, -1))
+    b_p, b_m = amplitude_table(sp).entries, amplitude_table(sm).entries
+    k = np.arange(-n_cut, n_cut + 1)
+    g_p, g_m = np.exp(-1j * sp.eigenvalues * t), np.exp(-1j * sm.eigenvalues * t)
+    h_p, h_m = np.exp(1j * k * sp.omega * t), np.exp(1j * k * sm.omega * t)
     gh_bar = 0.5 * (np.outer(g_p, h_p) + np.outer(g_m, h_m))
     b_bar = 0.5 * (b_p + b_m)
-    return (
-        np.einsum("akgb,ak->gb", b_p - b_m, gh_bar) * inv,
-        np.einsum("akgb,ak->gb", b_bar,
-                  np.outer(g_p - g_m, 0.5 * (h_p + h_m))) * inv,
-        np.einsum("akgb,ak->gb", b_bar,
-                  np.outer(0.5 * (g_p + g_m), h_p - h_m)) * inv,
-    )
+    return [x / (2.0 * delta) for x in (
+        np.einsum("akgb,ak->gb", b_p - b_m, gh_bar),
+        np.einsum("akgb,ak->gb", b_bar, np.outer(g_p - g_m, 0.5 * (h_p + h_m))),
+        np.einsum("akgb,ak->gb", b_bar, np.outer(0.5 * (g_p + g_m), h_p - h_m)))]
 
 
-# delta = 1e-3 and a small n_cut leave FD-level Hermiticity defects; the
-# contraction identity is algebraic and holds regardless
-@pytest.mark.filterwarnings("ignore:generator Hermiticity defect")
-@pytest.mark.parametrize("n_cut", [6, 12])
+# At delta = 1e-5 the reference carries a central-difference error of order
+# delta^2 (at most 1e-7 of the scale at these points, falling 100x per decade
+# of delta) and roundoff of order 1e-14 / delta; 1e-6 leaves a margin of ten.
+@pytest.mark.parametrize("n_cut", [20, 30])
 @pytest.mark.parametrize("model, params", [
     (RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
     (RashbaModel(2.0, 1.2, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
     (RotatingFieldModel(0.5, 1.0).hamiltonian(), ["b", "omega"]),
 ], ids=["rashba-transition", "rashba-strong", "rotating"])
 def test_contraction_matches_amplitude_tables(model, params, n_cut):
-    session = EstimationSession(model, params, n_cut=n_cut, delta=1e-3)
-    for param in params:
-        for t in (1.3, PERIOD, 2.5 * PERIOD, 3 * PERIOD):
-            parts = session._du_components(param, t)
-            reference = table_components(session, param, t)
+    session = EstimationSession(model, params, n_cut=n_cut)
+    for t in (1.3, PERIOD, 2.5 * PERIOD, 3 * PERIOD):
+        _, parts = session._derivatives(t)
+        for param in params:
+            reference = table_components(model, param, t, n_cut, 1e-5)
             scale = max(np.max(np.abs(r)) for r in reference)
             for name, got, want in zip(
                     ("eigenmode", "quasienergy", "multiphoton"),
-                    parts, reference):
+                    parts[param], reference):
                 err = np.max(np.abs(got - want))
-                assert err <= 1e-10 * scale, (param, t, name, err, scale)
+                assert err <= 1e-6 * scale, (param, t, name, err, scale)
             if param != "omega":
-                assert not np.any(parts[2])
+                assert not np.any(parts[param][2])
                 assert not np.any(session.generator_set(param, t).multiphoton)
 
 
 def test_report_evaluates_propagator_once_without_tables(monkeypatch):
-    calls = {"evolve": 0, "amplitude_table": 0}
+    calls = {"_modes_at": 0, "evolve": 0, "amplitude_table": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -275,15 +276,92 @@ def test_report_evaluates_propagator_once_without_tables(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(metrology, "evolve",
-                        counting("evolve", metrology.evolve))
-    table = counting("amplitude_table", spectral.amplitude_table)
+    monkeypatch.setattr(EstimationSession, "_modes_at",
+                        counting("_modes_at", EstimationSession._modes_at))
     # every module binding, so an imported name is counted as well
-    for module in (spectral, metrology):
-        monkeypatch.setattr(module, "amplitude_table", table, raising=False)
+    for name, owner in (("evolve", propagator), ("amplitude_table", spectral)):
+        fn = counting(name, getattr(owner, name))
+        for module in (owner, metrology):
+            monkeypatch.setattr(module, name, fn, raising=False)
     estimation_report(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
                       ["b0", "b1", "omega"], PROBE, PERIOD, n_cut=12)
-    assert calls == {"evolve": 1, "amplitude_table": 0}
+    assert calls == {"_modes_at": 1, "evolve": 0, "amplitude_table": 0}
+
+
+def test_session_diagonalizes_once(monkeypatch):
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    EstimationSession(RashbaModel(0.7, 0.4, 1.0).hamiltonian(),
+                      ["b0", "b1", "omega"], n_cut=20)
+    assert sizes == [2 * 41]
+
+
+@pytest.mark.parametrize("b0, b1", [(0.5, 0.5), (2.0, 1.0), (1.0, 3.0),
+                                    (5.0, 5.0)])
+def test_reduced_propagator_matches_full_sum(b0, b1):
+    session = EstimationSession(RashbaModel(b0, b1, 1.0).hamiltonian(), [])
+    for t in (1.3, PERIOD, 2 * PERIOD, 20.0):
+        np.testing.assert_allclose(session.propagator(t),
+                                   evolve(session.center, t).u_matrix,
+                                   rtol=0, atol=1e-12)
+
+
+def test_exact_sambe_degeneracies_are_finite():
+    # eps_+ - eps_- = omega or 2 omega: replicas of the two branches meet
+    def comp(n, params):
+        return params["a"] * SIGMA_X if n == 0 else np.zeros((2, 2))
+
+    static = PeriodicHamiltonian(levels=2, omega=1.0, params={"a": 0.5},
+                                 fourier_component=comp, max_harmonic=0)
+    cases = [(static, "a", SIGMA_X)] + [
+        (RashbaModel(0.0, b1, 1.0).hamiltonian(), "b1", -SIGMA_X)
+        for b1 in (0.5, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, param, direction in cases:
+            session = EstimationSession(model, [param], n_cut=10)
+            for t in (1.3, PERIOD, 3 * PERIOD):
+                gen = session.generator_set(param, t)
+                np.testing.assert_allclose(gen.total, t * direction,
+                                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("b0, b1", [(0.5, 0.5), (2.0, 1.0), (1.0, 3.0),
+                                    (5.0, 5.0)])
+def test_stroboscopic_quasienergy_generator(b0, b1):
+    # at t = l T: h_quasienergy = l T sum_a (d eps_a / dx) |u_a(0)><u_a(0)|
+    model = RashbaModel(b0, b1, 1.0).hamiltonian()
+    session = EstimationSession(model, ["b0", "b1"])
+    modes = session.center.physical_modes()
+    u0 = session.center.sector_view()[:, :, modes].sum(axis=0)
+    projectors = np.einsum("ga,ha->agh", u0, u0.conj())
+    # eigenvalue roundoff of order |M| eps ~ 1e-14 limits d_eps to ~1e-9
+    delta = 1e-5
+    for param in ("b0", "b1"):
+        eps = []
+        for x in (model.params[param] + delta, model.params[param] - delta):
+            spectrum = diagonalize(build_floquet_matrix(
+                model.with_params(**{param: x}), session.n_cut))
+            eps.append(spectrum.eigenvalues[spectrum.physical_modes()])
+        d_eps = (eps[0] - eps[1]) / (2 * delta)
+        for cycles in (1, 3, 10):
+            t = cycles * PERIOD
+            want = t * np.einsum("a,agh->gh", d_eps, projectors)
+            got = session.generator_set(param, t).quasienergy
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * t)
+
+
+def test_under_truncation_is_reported_by_name():
+    # today's symptom at (5, 5), n_cut 8 was "CFI exceeds QFI"
+    model = RashbaModel(5.0, 5.0, 1.0).hamiltonian()
+    with pytest.raises(TruncationError, match="n_cut=8"):
+        estimation_report(model, ["b0", "b1", "omega"], PROBE, PERIOD, n_cut=8)
 
 
 def test_reports_at_interleaved_times_match_standalone_calls():

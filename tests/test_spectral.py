@@ -5,8 +5,9 @@ import pytest
 from floqmet.models import RashbaModel, RotatingFieldModel
 from floqmet.propagator import evolve
 from floqmet.sambe import FloquetMatrix, build_floquet_matrix
-from floqmet.spectral import (DiagonalizationError, amplitude_table,
-                              diagonalize, fold_to_fbz)
+from floqmet.spectral import (DiagonalizationError, FloquetSpectrum,
+                              TruncationError, amplitude_table, diagonalize,
+                              fold_to_fbz)
 
 
 def test_fold_scalar_cases():
@@ -95,10 +96,25 @@ def test_folded_gap_is_branch_spacing():
 def test_edge_modes_are_flagged_interior_clean():
     spectrum = diagonalize(
         build_floquet_matrix(RashbaModel(2.0, 1.0, 1.0).hamiltonian(), 50))
-    interior = spectrum.interior_modes()
-    edge = spectrum.edge_modes()
-    assert interior.size > 0 and edge.size > 0
-    assert np.intersect1d(interior, edge).size == 0
+    edge = spectrum.edge_weights()
+    modes = spectrum.physical_modes()
+    assert modes.size == 2 and np.all(edge[modes] < 1e-8)
+    # the truncation edge holds polluted modes; the selector passes them over
+    assert np.any(edge > 1e-3)
+
+
+def test_too_few_physical_modes_is_a_truncation_error():
+    # every mode holds 1/3 of its weight in sector 0 and 2/3 in sector -1 or
+    # +1: mean Fourier index -2/3 or 2/3, never in (-1/2, 1/2]
+    q = np.array([np.ones(3) / np.sqrt(3), np.array([1, -1, 0]) / np.sqrt(2),
+                  np.array([1, 1, -2]) / np.sqrt(6)])
+    vectors = np.zeros((6, 6), dtype=complex)   # row = 2 * (sector + 1) + level
+    vectors[np.ix_([2, 0, 1], [0, 1, 2])] = q
+    vectors[np.ix_([3, 4, 5], [3, 4, 5])] = q
+    spectrum = FloquetSpectrum(eigenvalues=np.arange(6.0), eigenvectors=vectors,
+                               n_cut=1, levels=2, omega=1.0)
+    with pytest.raises(TruncationError, match="0 of 2 physical Floquet modes"):
+        spectrum.physical_modes()
 
 
 def test_input_sector_bounds():
