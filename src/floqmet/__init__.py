@@ -21,9 +21,9 @@ from .propagator import (PropagatorSample, TransitionProbability,
                          averaged_probability_shirley, evolve,
                          transition_probability)
 from .metrology import (EstimationReport, EstimationSession, GeneratorSet,
-                        InvariantViolation, ParameterEstimate, covariance,
-                        estimation_report, generator, incompatibility,
-                        local_mean, qfi, qfi_upper_bound, variance)
+                        GridEvaluation, InvariantViolation, ParameterEstimate,
+                        estimation_report, incompatibility, local_mean, qfi,
+                        qfi_upper_bound)
 from .models import (RashbaModel, RotatingFieldModel, PhaseReport,
                      berry_phase_adiabatic, driving_curvature,
                      instantaneous_spectrum, rotating_generator_analytic,
@@ -39,20 +39,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeTable", "DiagonalizationError", "EstimationReport",
     "EstimationSession", "FloquetBuildError", "FloquetMatrix",
-    "FloquetSpectrum", "GeneratorSet", "InvariantViolation", "OracleConfig",
-    "ParameterEstimate", "PeriodicHamiltonian", "PhaseReport",
+    "FloquetSpectrum", "GeneratorSet", "GridEvaluation", "InvariantViolation",
+    "OracleConfig", "ParameterEstimate", "PeriodicHamiltonian", "PhaseReport",
     "PropagatorSample", "RashbaModel", "RotatingFieldModel", "SambeIndex",
     "TransitionProbability", "TruncationError", "amplitude_table",
     "averaged_probability_longtime", "averaged_probability_shirley",
-    "berry_phase_adiabatic", "build_floquet_matrix", "covariance",
+    "berry_phase_adiabatic", "build_floquet_matrix",
     "diagonalize", "driving_curvature", "estimation_report", "evolve",
     "flat_index", "fold_to_fbz", "fourier_components_from_timedomain",
-    "generator", "generator_direct", "incompatibility",
+    "generator_direct", "incompatibility",
     "instantaneous_spectrum", "local_mean",
     "periodic_hamiltonian_from_timedomain", "propagate_direct", "qfi",
     "qfi_upper_bound", "rotating_generator_analytic",
     "rotating_incompatibility_analytic", "rotating_qfi_bound_analytic",
     "sambe_index", "total_field", "total_phase", "transition_probability",
-    "truncation_ladder", "unit_mapping", "unitarity_defect", "variance",
+    "truncation_ladder", "unit_mapping", "unitarity_defect",
     "winding_number", "winding_number_exact", "winding_number_quadrature",
 ]

@@ -7,6 +7,8 @@ Output files are deterministic: identical inputs produce byte-identical CSV
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -17,8 +19,8 @@ import numpy as np
 
 from . import models as mdl
 from .metrology import (DEFAULT_N_CUT, DEFAULT_SMOOTH_WINDOW, EstimationSession,
-                        InvariantViolation, estimation_report, local_mean,
-                        variance)
+                        InvariantViolation, _gram, estimation_report,
+                        local_mean)
 from .models import RashbaModel, RotatingFieldModel
 from .propagator import evolve
 from .reference import OracleConfig, propagate_direct, unitarity_defect
@@ -30,6 +32,12 @@ EXIT_INVARIANT = 2
 EXIT_POINT_FAILURES = 3
 
 MODEL_PARAMS = {"rashba": ("b0", "b1", "omega"), "rotating": ("b", "omega")}
+# per-parameter scan columns and the ParameterEstimate field each one reads
+ESTIMATE_COLUMNS = (("qfi_{}", "qfi_total"), ("qfi_{}_eigenmode", "qfi_eigenmode"),
+                    ("qfi_{}_quasienergy", "qfi_quasienergy"),
+                    ("qfi_{}_multiphoton", "qfi_multiphoton"),
+                    ("qfi_{}_coherence", "qfi_coherence"),
+                    ("bound_{}", "qfi_upper_bound"), ("cfi_{}", "cfi"))
 
 
 def _physical_model(name: str, values: dict):
@@ -77,11 +85,11 @@ def write_table(rows: list[dict], columns: list[str], out, fmt: str) -> None:
         text = json.dumps(
             [{c: row.get(c, "") for c in columns} for row in rows],
             indent=2, default=fmt17) + "\n"
-    else:
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(fmt17(row.get(c, "")) for c in columns))
-        text = "\n".join(lines) + "\n"
+    else:  # minimal quoting: only fields holding a comma, quote or newline
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [columns] + [[fmt17(row.get(c, "")) for c in columns] for row in rows])
+        text = buf.getvalue()
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -128,15 +136,10 @@ def _scan_point(args) -> list[dict]:
             report = estimation_report(session.model, params, probe, t,
                                        session=session)
             for p, est in report.estimates.items():
-                row[f"qfi_{p}"] = est.qfi_total
-                row[f"qfi_{p}_eigenmode"] = est.qfi_eigenmode
-                row[f"qfi_{p}_quasienergy"] = est.qfi_quasienergy
-                row[f"qfi_{p}_multiphoton"] = est.qfi_multiphoton
-                row[f"qfi_{p}_coherence"] = est.qfi_coherence
-                row[f"bound_{p}"] = est.qfi_upper_bound
-                row[f"cfi_{p}"] = est.cfi
+                row.update((col.format(p), getattr(est, f)) for col, f in ESTIMATE_COLUMNS)
             for (l, lp), om in report.incompatibility.items():
                 row[f"omega_{l}_{lp}"] = om
+                row[f"qfim_{l}_{lp}"] = float(report.qfim[params.index(l), params.index(lp)])
         except Exception as exc:  # per-point failure: record, keep scanning
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
@@ -146,13 +149,9 @@ def _scan_point(args) -> list[dict]:
 def scan_columns(spec: ScanSpec) -> list[str]:
     names = MODEL_PARAMS[spec.model]
     cols = list(names) + ["time"]
-    for p in names:
-        cols += [f"qfi_{p}", f"qfi_{p}_eigenmode", f"qfi_{p}_quasienergy",
-                 f"qfi_{p}_multiphoton", f"qfi_{p}_coherence", f"bound_{p}",
-                 f"cfi_{p}"]
-    for i, l in enumerate(names):
-        for lp in names[i + 1:]:
-            cols.append(f"omega_{l}_{lp}")
+    cols += [col.format(p) for p in names for col, _ in ESTIMATE_COLUMNS]
+    pairs = [f"{l}_{lp}" for i, l in enumerate(names) for lp in names[i + 1:]]
+    cols += [f"omega_{pair}" for pair in pairs] + [f"qfim_{pair}" for pair in pairs]
     cols += ["n_cut", "probe", "error"]
     return cols
 
@@ -263,8 +262,7 @@ def cmd_scaling(args) -> int:
         raise ValueError("scaling needs at least 8 time points")
     probe = parse_probe(args.probe)
     session = EstimationSession(model, [args.param], args.ncut)
-    qfis = [estimation_report(model, [args.param], probe, t, session=session)
-            .estimates[args.param].qfi_total for t in times]
+    qfis = session.evaluate(probe, times).qfi[:, 0, 0]
     fit = fit_scaling(times, qfis, window=args.window,
                       smooth_window=args.smooth_window)
     rows = [{"param": args.param, "exponent": fit.exponent,
@@ -308,11 +306,9 @@ def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
                                  n_cut).propagator(t)
 
     u0_dag, psi = u_at(x0).conj().T, np.asarray(probe, dtype=complex)
-    values = []
-    for d in deltas:
-        h = 1j * u0_dag @ (u_at(x0 + d) - u_at(x0 - d)) / (2 * d)
-        values.append(4.0 * variance(0.5 * (h + h.conj().T), psi))
-    values = np.asarray(values)
+    h = np.array([1j * u0_dag @ (u_at(x0 + d) - u_at(x0 - d)) / (2 * d)
+                  for d in deltas])
+    values = _gram(0.5 * (h + h.conj().swapaxes(1, 2))[:, None], psi)[1][:, 0, 0]
     rows = []
     for i, d in enumerate(deltas):
         lo, hi = max(0, i - 2), min(len(deltas), i + 3)

@@ -1,7 +1,7 @@
-"""Estimation pipeline: generators split into their Floquet components, QFI,
-QFI upper bounds, stroboscopic CFI and incompatibility, from one
-diagonalization of the Sambe matrix M.  Generators are initial-frame,
-h = i U^dag dU/dx, whose probe variances are the QFI of the evolved states.
+"""Estimation pipeline: generators split into their Floquet components, QFI
+matrix, QFI upper bounds, CFI and incompatibility, from one diagonalization
+of the Sambe matrix M.  Generators are initial-frame, h = i U^dag dU/dx,
+whose probe variances are the QFI of the evolved states.
 
 The N physical modes (phi_a, eps_a) of M (`FloquetSpectrum.physical_modes`)
 give U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag, u_a(t) = sum_k phi_{a,k}
@@ -28,10 +28,16 @@ X = i t sum_a u_a(t) e^{-i eps_a t} (sum_k (-k) phi_{a,k})^dag.  As W^(0)_aa
 quasienergy part is sum_a u_a(t) W^(0)_aa F^(0)_aa u_a(0)^dag - X, the
 multiphoton part L + X, the eigenmode part the rest of the W F sum; at
 t = l T and x != w, h_quasienergy = l T sum_a (d eps_a/dx) |u_a(0)><u_a(0)|.
+
+Every estimate reads the Gram matrix Q_ij = <h_i h_j> - <h_i><h_j> of the
+4P generators (each parameter's total and three parts) on the probe: the QFI
+matrix is 4 Re Q, the incompatibility Im <[h_l, h_m]> = 2 Im Q_lm (Liu et
+al., J. Phys. A 53, 023001 (2020)), a part's QFI 4 Re Q_cc and the coherence
+share 8 Re of its block's off-diagonal entries.  `EstimationSession.evaluate`
+computes them for a grid of times; `estimation_report` is its one-time case.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,6 +51,7 @@ DEFAULT_SMOOTH_WINDOW = 21
 DECOMPOSITION_TOL = 1e-6
 PRESYM_WARN = 1e-4
 CFI_PROB_FLOOR = 1e-12
+TIME_BLOCK = 32  # times per pass: its temporaries grow as TIME_BLOCK n_cut N^2
 
 
 class InvariantViolation(RuntimeError):
@@ -53,12 +60,8 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class GeneratorSet:
-    """Generator for one parameter, split into its three Floquet components.
-
-    The split is exact by construction: eigenmode + quasienergy + multiphoton
-    sums to the derivative of the propagator, so the total equals the
-    component sum to roundoff.
-    """
+    """Generator for one parameter and its eigenmode, quasienergy and
+    multiphoton components, which sum to the total to roundoff."""
 
     param: str
     time: float
@@ -73,33 +76,61 @@ class GeneratorSet:
         return float(np.max(np.abs(s - self.total)))
 
 
-def _hermitize(h: np.ndarray) -> tuple[np.ndarray, float]:
-    defect = float(np.max(np.abs(h - h.conj().T)))
-    return 0.5 * (h + h.conj().T), defect
-
-
 def _as_probe(probe, levels: int) -> np.ndarray:
+    """A level index in [0, levels) or a unit state vector of length levels."""
     if np.isscalar(probe):
-        psi = np.zeros(levels, dtype=complex)
-        psi[int(probe)] = 1.0
-        return psi
+        if not isinstance(probe, (int, np.integer)) or not 0 <= probe < levels:
+            raise ValueError(f"probe {probe!r} is not a level index for levels={levels}")
+        return np.eye(levels, dtype=complex)[probe]
     psi = np.asarray(probe, dtype=complex)
+    if psi.shape != (levels,):
+        raise ValueError(f"probe {probe!r} is not a state vector for levels={levels}")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError(f"probe state is not normalized: |psi| = {np.linalg.norm(psi)}")
     return psi
 
 
-def expectation(op: np.ndarray, psi: np.ndarray) -> float:
-    return float(np.real(psi.conj() @ op @ psi))
+def _gram(h: np.ndarray, psi: np.ndarray):
+    """Gram matrix Q_ij = <h_i h_j> - <h_i><h_j> of stacked Hermitian
+    h[..., i, :, :] on psi, with the QFI matrix 4 Re Q and the incompatibility
+    2 Im Q.  Each entry reads only h_i, h_j and psi, not the other generators
+    or times in the stack."""
+    v = h @ psi                                                  # h_i |psi>
+    mean = (v @ psi.conj()).real
+    q = (np.einsum("...in,...jn->...ij", v.conj(), v)
+         - mean[..., :, None] * mean[..., None, :])
+    return q, 4.0 * q.real, 2.0 * q.imag
 
 
-def variance(op: np.ndarray, psi: np.ndarray) -> float:
-    return expectation(op @ op, psi) - expectation(op, psi) ** 2
+def _qfi_parts(fisher: np.ndarray, params: int) -> np.ndarray:
+    """(..., P, 5) total, eigenmode, quasienergy, multiphoton and coherence
+    QFI from the QFI matrix of the 4P generators, four per parameter."""
+    idx = np.arange(4 * params).reshape(params, 4)
+    coherence = fisher[..., idx[:, [1, 1, 2]], idx[:, [2, 3, 3]]].sum(axis=-1)
+    return np.concatenate((fisher[..., idx, idx], 2.0 * coherence[..., None]), axis=-1)
 
 
-def covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> float:
-    sym = 0.5 * (a @ b + b @ a)
-    return expectation(sym, psi) - expectation(a, psi) * expectation(b, psi)
+def _bounds(totals: np.ndarray) -> np.ndarray:
+    """Maximal-spread bound (lam_max - lam_min)^2 of stacked total generators."""
+    lam = np.linalg.eigvalsh(totals)
+    return (lam[..., -1] - lam[..., 0]) ** 2
+
+
+def _cfi(u: np.ndarray, du: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Fisher information (T, P) of the level populations of U psi, from U
+    (T, N, N) and dU/dx (T, P, N, N); outcomes below CFI_PROB_FLOOR drop out."""
+    amps = (u @ psi)[:, None]
+    probs = np.abs(amps) ** 2
+    dprobs = 2.0 * np.real(amps.conj() * (du @ psi))
+    keep = probs >= CFI_PROB_FLOOR
+    if not keep.all():
+        dropped = ~keep & (np.abs(dprobs) > 1e-6)
+        for p, dp in zip(np.broadcast_to(probs, dprobs.shape)[dropped], dprobs[dropped]):
+            warnings.warn(
+                f"outcome with P={p:.1e} but dP={dp:.1e} dropped from "
+                "the CFI sum (sign change through zero probability?)",
+                stacklevel=4)
+    return np.where(keep, dprobs * dprobs / np.where(keep, probs, 1.0), 0.0).sum(axis=-1)
 
 
 def local_mean(values, window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
@@ -148,6 +179,23 @@ def _replica_couplings(model: PeriodicHamiltonian, phi: np.ndarray, params,
     return np.array(out).reshape(len(params), size, phi.shape[2], phi.shape[2])
 
 
+@dataclass
+class GridEvaluation:
+    """`EstimationSession.evaluate` output: axis 0 time, axis 1 parameter."""
+
+    times: np.ndarray
+    probe: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)           # (T, N, N)
+    generators: np.ndarray = field(repr=False)  # (T, P, 4, N, N): total, 3 parts
+    gram: np.ndarray = field(repr=False)        # (T, 4P, 4P) over the generators
+    qfi: np.ndarray = field(repr=False)         # (T, P, 5): total, 3 parts, coherence
+    qfim: np.ndarray = field(repr=False)        # (T, P, P)
+    omega: np.ndarray = field(repr=False)       # (T, P, P)
+    bound: np.ndarray = field(repr=False)       # (T, P)
+    cfi: np.ndarray = field(repr=False)         # (T, P)
+    defects: np.ndarray = field(repr=False)     # (T, P) Hermiticity defects
+
+
 class EstimationSession:
     """One diagonalization per model point, reused across times: the N
     physical Floquet modes and each parameter's replica couplings."""
@@ -165,79 +213,108 @@ class EstimationSession:
         self._u0_dag = self._phi.sum(axis=0).conj().T
         self._ku0_dag = np.tensordot(self._k, self._phi, axes=(0, 0)).conj().T
         reach = 2 * n_cut + model.max_harmonic
-        self._shifts = np.arange(-reach, reach + 1)
-        self._couplings = _replica_couplings(model, self._phi, self.params,
-                                             self._shifts)
-        self._d_eps = np.diagonal(self._couplings[:, reach], axis1=1, axis2=2)
+        shifts = np.arange(-reach, reach + 1)
+        couplings = _replica_couplings(model, self._phi, self.params,
+                                       shifts)
+        self._d_eps = np.diagonal(couplings[:, reach], axis1=1, axis2=2)
+        m = self._phi.shape[2]
+        self._ikw, self._ieps = 1j * self._k * model.omega, -1j * self.quasienergies
+        self._k_rows = np.array([np.ones_like(self._k), self._k])
+        # F^(j)_ab factors in [a, b, j] layout and W^(j)_ab as [ab, j, p], for
+        # the replicas j whose couplings rise above the FFT roundoff eps max|W|
+        size = np.abs(couplings).max(axis=(0, 2, 3), initial=0.0)
+        shifts = shifts[size > np.finfo(float).eps * size.max()]
+        self._half_shift = -0.5j * shifts * model.omega
+        self._half_gap = 0.5 * (self.quasienergies[:, None, None]
+                                - self.quasienergies[:, None] - shifts * model.omega)
+        self._w = np.ascontiguousarray(couplings[:, shifts + reach].transpose(
+            2, 3, 1, 0).reshape(m * m, len(shifts), len(self.params)))
 
-    def _modes_at(self, t: float):  # e^{ikwt}, columns u_a(t), e^{-i eps_a t}
-        phase = np.exp(1j * self._k * self.model.omega * t)
-        return (phase, np.tensordot(phase, self._phi, axes=(0, 0)),
-                np.exp(-1j * self.quasienergies * t))
+    def _modes_at(self, times):  # columns u_a(t), sum_k k phi_ak e^{ikwt}, e^{-i eps_a t}
+        phase = np.exp(self._ikw * times[:, None])[:, None] * self._k_rows
+        modes = (phase @ self._phi.reshape(len(self._k), -1)).reshape(
+            (len(times), 2) + self._phi.shape[1:])
+        return modes[:, 0], modes[:, 1], np.exp(self._ieps * times[:, None])
 
     def propagator(self, t: float) -> np.ndarray:
-        _, u_t, g = self._modes_at(t)
-        return (u_t * g) @ self._u0_dag
+        u_t, _, g = self._modes_at(np.array([t]))
+        return ((u_t * g[:, None]) @ self._u0_dag)[0]
 
-    def _derivatives(self, t: float):
-        """U(t) and, per parameter, dU/dx as its (eigenmode, quasienergy,
-        multiphoton) parts, as derived in the module docstring."""
-        phase, u_t, g = self._modes_at(t)
-        a = self.quasienergies[:, None]
-        b = self.quasienergies + self._shifts[:, None, None] * self.model.omega
-        f = (-1j * t * np.exp(-0.5j * (a + b) * t)
-             * np.sinc((a - b) * t / (2.0 * np.pi)))           # [j, a, b]
-        quasi = self._d_eps * (-1j * t * g)                    # [p, a]
-        c = np.einsum("pjab,jab->pab", self._couplings, f)
-        u = (u_t * g) @ self._u0_dag
-        parts = {}
-        for i, p in enumerate(self.params):
-            du_eig = u_t @ (c[i] - np.diag(quasi[i])) @ self._u0_dag
-            du_quasi = (u_t * quasi[i]) @ self._u0_dag
-            du_mp = np.zeros_like(u)
-            if p == "omega":
-                ku_t = np.tensordot(self._k * phase, self._phi, axes=(0, 0))
-                x = -1j * t * (u_t * g) @ self._ku0_dag
-                du_quasi = du_quasi - x
-                du_mp = 1j * t * (ku_t * g) @ self._u0_dag + x
-            parts[p] = (du_eig, du_quasi, du_mp)
-        return u, parts
+    def _derivatives(self, times: np.ndarray):
+        """U(t) (T, N, N) and dU/dx (T, P, 4, N, N): the total, then its eigenmode,
+        quasienergy and multiphoton parts as in the module docstring."""
+        t, (levels, m) = times[:, None, None], self._phi.shape[1:]
+        tf = t[..., None]
+        u_t, ku_t, g = self._modes_at(times)
+        ug = u_t * g[:, None]
+        half = np.exp(0.5 * self._ieps * t[:, 0])
+        y = self._half_gap * tf
+        y = np.where(y, y, 1e-300)                             # sinc(0) = 1
+        f = ((-1j * t * half[:, :, None] * half[:, None, :])[..., None]
+             * np.exp(self._half_shift * tf) * (np.sin(y) / y))  # [t, a, b, j]
+        c = (f.reshape(len(times), m * m, 1, -1) @ self._w).reshape(
+            len(times), m, m, -1).transpose(0, 3, 1, 2)        # [t, p, a, b]
+        quasi = self._d_eps * (-1j * t * g[:, None])           # [t, p, a]
+        diag = np.arange(m)
+        c[..., diag, diag] -= quasi
+        du = np.zeros(c.shape[:2] + (4, levels, levels), dtype=complex)
+        du[:, :, 1] = u_t[:, None] @ c @ self._u0_dag
+        du[:, :, 2] = (u_t[:, None] * quasi[:, :, None]) @ self._u0_dag
+        if "omega" in self.params:
+            i = self.params.index("omega")
+            x = -1j * t * ug @ self._ku0_dag
+            du[:, i, 2] -= x
+            du[:, i, 3] = 1j * t * (ku_t * g[:, None]) @ self._u0_dag + x
+        du[:, :, 0] = du[:, :, 1] + du[:, :, 2] + du[:, :, 3]
+        return ug @ self._u0_dag, du
 
-    def _generator_from(self, param: str, t: float, u0: np.ndarray,
-                        parts) -> GeneratorSet:
-        """Generator set from U(t) and the three dU/dx components at t."""
-        du_eig, du_quasi, du_mp = parts
-        u0_dag = u0.conj().T
-        total_raw = 1j * u0_dag @ (du_eig + du_quasi + du_mp)
-        total, defect = _hermitize(total_raw)
-        if defect > PRESYM_WARN:
+    def _generators(self, times: np.ndarray):
+        """U, dU/dx, the Hermitian generators i U^dag dU/dx (T, P, 4, N, N)
+        and the Hermiticity defect (T, P) of each total before symmetrizing."""
+        u, du = self._derivatives(times)
+        raw = (1j * u.conj().swapaxes(1, 2))[:, None, None] @ du
+        raw_dag = raw.conj().swapaxes(-1, -2)
+        defects = np.abs(raw - raw_dag)[:, :, 0].max(axis=(-2, -1))
+        for j, i in np.argwhere(defects > PRESYM_WARN):
             warnings.warn(
-                f"generator Hermiticity defect {defect:.2e} for {param!r} at "
-                f"t={t:.4g}; n_cut={self.n_cut} may be too small",
-                stacklevel=3)
-        return GeneratorSet(
-            param=param,
-            time=t,
-            total=total,
-            eigenmode=_hermitize(1j * u0_dag @ du_eig)[0],
-            quasienergy=_hermitize(1j * u0_dag @ du_quasi)[0],
-            multiphoton=_hermitize(1j * u0_dag @ du_mp)[0],
-            presym_defect=defect,
-        )
+                f"generator Hermiticity defect {defects[j, i]:.2e} for "
+                f"{self.params[i]!r} at t={times[j]:.4g}; n_cut={self.n_cut} "
+                "may be too small", stacklevel=4)
+        return u, du, 0.5 * (raw + raw_dag), defects
+
+    def evaluate(self, probe, times) -> GridEvaluation:
+        """Every estimate at each of `times`, in one vectorised pass per
+        block of TIME_BLOCK times; a time's values do not depend on the other
+        times.  The invariants (decomposition identity, QFI within [0, bound],
+        general-t CFI below QFI) are checked at every time before anything is
+        returned; an `InvariantViolation` names the first failing time."""
+        psi = _as_probe(probe, self.model.levels)
+        times = np.asarray(times, dtype=float).reshape(-1)
+        if not times.size:
+            raise ValueError("evaluate needs at least one time")
+        out = []
+        for start in range(0, len(times), TIME_BLOCK):
+            block = times[start:start + TIME_BLOCK]
+            u, du, h, defects = self._generators(block)
+            gram, fisher, omega = _gram(h.reshape((len(block), -1) + u.shape[1:]), psi)
+            out.append((u, h, gram, _qfi_parts(fisher, len(self.params)),
+                        fisher[:, ::4, ::4], omega[:, ::4, ::4],
+                        _bounds(h[:, :, 0]), _cfi(u, du[:, :, 0], psi), defects))
+        result = GridEvaluation(times, psi, *(out[0] if len(out) == 1 else
+                                              map(np.concatenate, zip(*out))))
+        _check(result, self.params)
+        return result
 
     def generator_set(self, param: str, t: float) -> GeneratorSet:
-        u, parts = self._derivatives(t)
-        return self._generator_from(param, t, u, parts[param])
+        _, _, h, defects = self._generators(np.array([t]))
+        i = self.params.index(param)
+        return GeneratorSet(param, t, *h[0, i], presym_defect=float(defects[0, i]))
 
     def cfi(self, param: str, t: float, probe,
             stroboscopic: bool = True) -> float:
-        """CFI of the projective measurement in the bare level basis.
-
-        For a two-level system this equals the two-outcome measurement
-        {|1><1|, 1 - |1><1|}.  With `stroboscopic=True`, t must be an
-        integer multiple of the drive period 2 pi / omega; the general-t
-        value is available by passing stroboscopic=False.
-        """
+        """CFI of the projective measurement in the bare level basis (for two
+        levels, the two outcomes {|1><1|, 1 - |1><1|}); t must be a positive
+        multiple of the drive period 2 pi / omega unless stroboscopic=False."""
         if stroboscopic:
             t0 = self.model.period
             cycles = t / t0
@@ -245,28 +322,7 @@ class EstimationSession:
                 raise ValueError(
                     f"t={t:.6g} is not a positive multiple of the drive period "
                     f"{t0:.6g}; use stroboscopic=False for general-t CFI")
-        psi = _as_probe(probe, self.model.levels)
-        u, parts = self._derivatives(t)
-        return _level_basis_cfi(u, sum(parts[param]), psi)
-
-
-def _level_basis_cfi(u0: np.ndarray, du: np.ndarray, psi: np.ndarray) -> float:
-    """Fisher information of the level populations of U psi, given dU/dx."""
-    amps = u0 @ psi
-    damps = du @ psi
-    probs = np.abs(amps) ** 2
-    dprobs = 2.0 * np.real(amps.conj() * damps)
-    fisher = 0.0
-    for p, dp in zip(probs, dprobs):
-        if p < CFI_PROB_FLOOR:
-            if abs(dp) > 1e-6:
-                warnings.warn(
-                    f"outcome with P={p:.1e} but dP={dp:.1e} dropped from "
-                    "the CFI sum (sign change through zero probability?)",
-                    stacklevel=3)
-            continue
-        fisher += dp * dp / p
-    return float(fisher)
+        return float(self.evaluate(probe, [t]).cfi[0, self.params.index(param)])
 
 
 @dataclass
@@ -294,6 +350,7 @@ class EstimationReport:
 
     estimates: dict[str, ParameterEstimate]
     incompatibility: dict[tuple[str, str], float]
+    qfim: np.ndarray = field(repr=False)  # QFI matrix over the params, in order
     probe: np.ndarray = field(repr=False)
     time: float = 0.0
     n_cut: int = DEFAULT_N_CUT
@@ -307,70 +364,33 @@ class EstimationReport:
 
 
 def qfi(gen: GeneratorSet, probe) -> ParameterEstimate:
-    """QFI with its component breakdown from one generator set.
-
-    Component QFIs use the same variance formula; the coherence share is
-    8 * (sum of pairwise symmetrized covariances), so the four parts sum to
-    the total exactly.
-    """
-    psi = _as_probe(probe, gen.total.shape[0])
-    total = 4.0 * variance(gen.total, psi)
-    comp = {
-        "eigenmode": 4.0 * variance(gen.eigenmode, psi),
-        "quasienergy": 4.0 * variance(gen.quasienergy, psi),
-        "multiphoton": 4.0 * variance(gen.multiphoton, psi),
-    }
-    coherence = 8.0 * (
-        covariance(gen.eigenmode, gen.quasienergy, psi)
-        + covariance(gen.eigenmode, gen.multiphoton, psi)
-        + covariance(gen.quasienergy, gen.multiphoton, psi))
-    return ParameterEstimate(
-        qfi_total=total,
-        qfi_eigenmode=comp["eigenmode"],
-        qfi_quasienergy=comp["quasienergy"],
-        qfi_multiphoton=comp["multiphoton"],
-        qfi_coherence=coherence,
-        qfi_upper_bound=qfi_upper_bound(gen),
-        cfi=float("nan"),
-        presym_defect=gen.presym_defect,
-    )
+    """QFI with its component breakdown from one generator set: the
+    one-parameter case of the report's Gram matrix."""
+    h = np.array([gen.total, gen.eigenmode, gen.quasienergy, gen.multiphoton])
+    parts = _qfi_parts(_gram(h, _as_probe(probe, len(h[0])))[1], 1)[0]
+    return ParameterEstimate(*map(float, parts), qfi_upper_bound(gen),
+                             float("nan"), gen.presym_defect)
 
 
 def qfi_upper_bound(gen: GeneratorSet) -> float:
     """Maximal-spread bound (lam_max - lam_min)^2 of the total generator."""
-    lam = np.linalg.eigvalsh(gen.total)
-    return float((lam[-1] - lam[0]) ** 2)
+    return float(_bounds(gen.total))
 
 
 def incompatibility(gen_l: GeneratorSet, gen_lp: GeneratorSet, probe) -> float:
     """Weak-commutation value Im <psi|[h_l, h_lp]|psi>; antisymmetric."""
     if gen_l.time != gen_lp.time:
         raise ValueError("generators must be evaluated at the same time")
-    psi = _as_probe(probe, gen_l.total.shape[0])
-    comm = gen_l.total @ gen_lp.total - gen_lp.total @ gen_l.total
-    return float(np.imag(psi.conj() @ comm @ psi))
-
-
-def generator(model: PeriodicHamiltonian, param: str, t: float,
-              n_cut: int = DEFAULT_N_CUT) -> GeneratorSet:
-    """One-shot generator computation (builds a throwaway session)."""
-    return EstimationSession(model, [param], n_cut).generator_set(param, t)
+    h = np.array([gen_l.total, gen_lp.total])
+    return float(_gram(h, _as_probe(probe, len(h[0])))[2][0, 1])
 
 
 def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
                       n_cut: int | None = None,
                       session: EstimationSession | None = None) -> EstimationReport:
-    """Fully populated estimation record for one (model, time) point.
-
-    Invariants (decomposition identity, QFI within [0, bound], CFI below QFI)
-    are asserted before the report is returned; a report is never emitted in
-    a violated state.  Pass an existing `session` to reuse diagonalizations
-    across times; the arguments given (not None) must then match it.
-
-    U(t) and every parameter's dU/dx split are evaluated once; the
-    generators and the CFI all read those values.  The CFI is the general-t
-    value.
-    """
+    """Estimation record for one (model, time) point: the one-time case of
+    `EstimationSession.evaluate`, checked the same way.  A `session` given is
+    reused; the other arguments given (not None) must then match it."""
     if session is None:
         session = EstimationSession(
             model, params, DEFAULT_N_CUT if n_cut is None else n_cut)
@@ -380,47 +400,31 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
             if value is not None and value != getattr(session, name):
                 raise ValueError(f"{name}={value!r} differs from the session's "
                                  f"{getattr(session, name)!r}")
-    psi = _as_probe(probe, model.levels)
-    u0, parts = session._derivatives(t)
-
-    gens: dict[str, GeneratorSet] = {}
-    estimates: dict[str, ParameterEstimate] = {}
-    for p in session.params:
-        gens[p] = session._generator_from(p, t, u0, parts[p])
-        est = qfi(gens[p], psi)
-        est.cfi = _level_basis_cfi(u0, sum(parts[p]), psi)
-        estimates[p] = est
-
-    incomp = {}
-    names = session.params
-    for i, l in enumerate(names):
-        for lp in names[i + 1:]:
-            incomp[(l, lp)] = incompatibility(gens[l], gens[lp], psi)
-
-    report = EstimationReport(
-        estimates=estimates,
-        incompatibility=incomp,
-        probe=psi,
-        time=t,
-        n_cut=session.n_cut,
-    )
-    _check_report(report)
-    return report
+    grid = session.evaluate(probe, [t])
+    names, omega = session.params, grid.omega[0].tolist()
+    estimates = {p: ParameterEstimate(*parts, bound, cfi, defect)
+                 for p, parts, bound, cfi, defect in zip(
+                     names, grid.qfi[0].tolist(), grid.bound[0].tolist(),
+                     grid.cfi[0].tolist(), grid.defects[0].tolist())}
+    incomp = {(l, names[j]): omega[i][j]
+              for i, l in enumerate(names) for j in range(i + 1, len(names))}
+    return EstimationReport(estimates=estimates, incompatibility=incomp,
+                            qfim=grid.qfim[0], probe=grid.probe, time=t,
+                            n_cut=session.n_cut)
 
 
-def _check_report(report: EstimationReport) -> None:
-    for p, est in report.estimates.items():
-        defect = est.decomposition_defect()
-        if defect > DECOMPOSITION_TOL:
-            raise InvariantViolation(
-                f"QFI decomposition defect {defect:.2e} for {p!r} exceeds "
-                f"{DECOMPOSITION_TOL}")
-        if est.qfi_total < -1e-9:
-            raise InvariantViolation(f"negative QFI {est.qfi_total} for {p!r}")
-        if est.qfi_total > est.qfi_upper_bound + DECOMPOSITION_TOL:
-            raise InvariantViolation(
-                f"QFI {est.qfi_total} exceeds its upper bound "
-                f"{est.qfi_upper_bound} for {p!r}")
-        if not math.isnan(est.cfi) and est.cfi > est.qfi_total + DECOMPOSITION_TOL:
-            raise InvariantViolation(
-                f"CFI {est.cfi} exceeds QFI {est.qfi_total} for {p!r}")
+def _check(grid: GridEvaluation, params) -> None:
+    """Raise InvariantViolation at the first failing (time, parameter, check)."""
+    total = grid.qfi[..., 0]
+    defect = np.abs(total - grid.qfi[..., 1:].sum(axis=-1))
+    bad = np.array((defect > DECOMPOSITION_TOL, total < -1e-9,
+                    total > grid.bound + DECOMPOSITION_TOL,
+                    grid.cfi > total + DECOMPOSITION_TOL))
+    if bad.any():
+        j, i, kind = np.argwhere(bad.transpose(1, 2, 0))[0]
+        p, total, bound, cfi = params[i], total[j, i], grid.bound[j, i], grid.cfi[j, i]
+        message = (f"QFI decomposition defect {defect[j, i]:.2e} for {p!r} exceeds "
+                   f"{DECOMPOSITION_TOL}", f"negative QFI {total} for {p!r}",
+                   f"QFI {total} exceeds its upper bound {bound} for {p!r}",
+                   f"CFI {cfi} exceeds QFI {total} for {p!r}")[kind]
+        raise InvariantViolation(f"{message} at t={float(grid.times[j])!r}")

@@ -1,5 +1,6 @@
 """Command-line harness tests."""
 import argparse
+import csv
 import json
 import math
 import os
@@ -104,6 +105,31 @@ def test_qfi_exit_code_reads_every_row(tmp_path, monkeypatch):
     error = header.split(",").index("error")
     assert first.split(",")[error] == ""
     assert "InvariantViolation" in second.split(",")[error]
+
+
+def test_csv_rows_are_as_wide_as_the_header(tmp_path):
+    # a custom probe "1,0" and an error message both hold commas
+    out = tmp_path / "qfi.csv"
+    code = main(["qfi", "--b0", "0.5", "--b1", "0.5", "--t", "1", "--ncut", "10",
+                 "--probe", "1,0", "--out", str(out)])
+    assert code == 0
+    header, row = csv.reader(out.open(newline=""))
+    assert len(row) == len(header) == len(scan_columns(
+        ScanSpec(model="rashba", sweeps=[], fixed={}, times=[])))
+    assert row[header.index("probe")] == "1,0"
+    assert row[header.index("error")] == ""
+    assert out.read_text().splitlines()[0] == ",".join(header)
+
+    bad = tmp_path / "bad.csv"
+    code = main(["qfi", "--t", "1", "--ncut", "10", "--probe", "1,0,0",
+                 "--out", str(bad)])
+    assert code == 3
+    header, row = csv.reader(bad.open(newline=""))
+    assert len(row) == len(header)
+    assert row[header.index("probe")] == "1,0,0"
+    error = row[header.index("error")]
+    assert error.startswith("ValueError: probe ") and "levels=2" in error
+    assert row[header.index("qfi_b0")] == ""
 
 
 def test_scan_spec_grid_is_row_major():

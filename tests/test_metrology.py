@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from floqmet import metrology, propagator, spectral
-from floqmet.metrology import (EstimationSession, GeneratorSet,
-                               estimation_report, generator, incompatibility,
-                               local_mean, qfi, qfi_upper_bound, variance,
-                               covariance)
+from floqmet.metrology import (TIME_BLOCK, EstimationSession, GeneratorSet,
+                               InvariantViolation, estimation_report,
+                               incompatibility, local_mean, qfi,
+                               qfi_upper_bound)
 from floqmet.models import (SIGMA_X, SIGMA_Y, SIGMA_Z, RashbaModel,
                             RotatingFieldModel, rotating_generator_analytic,
                             rotating_incompatibility_analytic)
@@ -37,11 +37,13 @@ def test_local_mean_flat_and_window_validation():
 
 
 def test_variance_covariance_basics():
+    # variances and symmetrized covariances are Re of the Gram matrix
     psi = np.array([1.0, 0.0], dtype=complex)
-    assert variance(SIGMA_Z, psi) == pytest.approx(0.0)
-    assert variance(SIGMA_X, psi) == pytest.approx(1.0)
-    assert covariance(SIGMA_X, SIGMA_Y, psi) == pytest.approx(0.0, abs=1e-12)
-    assert covariance(SIGMA_X, SIGMA_X, psi) == pytest.approx(1.0)
+    gram = metrology._gram(np.array([SIGMA_Z, SIGMA_X, SIGMA_Y, SIGMA_X]), psi)[0].real
+    assert gram[0, 0] == pytest.approx(0.0)
+    assert gram[1, 1] == pytest.approx(1.0)
+    assert gram[1, 2] == pytest.approx(0.0, abs=1e-12)
+    assert gram[1, 3] == pytest.approx(1.0)
 
 
 def test_qfi_simple_generators():
@@ -72,7 +74,7 @@ def test_spectator_parameter_gives_zero_qfi():
     model = PeriodicHamiltonian(levels=2, omega=1.0,
                                 params={"a": 0.5, "idle": 3.0},
                                 fourier_component=comp, max_harmonic=0)
-    gen = generator(model, "idle", 1.0, n_cut=2)
+    gen = EstimationSession(model, ["idle"], n_cut=2).generator_set("idle", 1.0)
     np.testing.assert_allclose(gen.total, 0, atol=1e-9)
     assert qfi(gen, 0).qfi_total == pytest.approx(0.0, abs=1e-9)
 
@@ -85,7 +87,7 @@ def test_static_model_generator_is_textbook():
     model = PeriodicHamiltonian(levels=2, omega=1.0, params={"a": 0.4},
                                 fourier_component=comp, max_harmonic=0)
     t = 2.7
-    gen = generator(model, "a", t, n_cut=3)
+    gen = EstimationSession(model, ["a"], n_cut=3).generator_set("a", t)
     np.testing.assert_allclose(gen.total, t * SIGMA_X, atol=1e-6)
     np.testing.assert_allclose(gen.eigenmode + gen.quasienergy, gen.total,
                                atol=1e-6)
@@ -94,7 +96,7 @@ def test_static_model_generator_is_textbook():
 
 def test_generator_matches_ode_oracle_at_transition():
     model = RashbaModel(0.5, 0.5, 1.0).hamiltonian()
-    floquet = generator(model, "b0", PERIOD).total
+    floquet = EstimationSession(model, ["b0"]).generator_set("b0", PERIOD).total
     direct = generator_direct(model, "b0", PERIOD, cfg=OracleConfig(20000))
     np.testing.assert_allclose(floquet, direct, atol=1e-5)
 
@@ -253,17 +255,17 @@ def table_components(model, param, t, n_cut, delta):
 def test_contraction_matches_amplitude_tables(model, params, n_cut):
     session = EstimationSession(model, params, n_cut=n_cut)
     for t in (1.3, PERIOD, 2.5 * PERIOD, 3 * PERIOD):
-        _, parts = session._derivatives(t)
-        for param in params:
+        _, du = session._derivatives(np.array([t]))
+        for i, param in enumerate(params):
             reference = table_components(model, param, t, n_cut, 1e-5)
             scale = max(np.max(np.abs(r)) for r in reference)
             for name, got, want in zip(
                     ("eigenmode", "quasienergy", "multiphoton"),
-                    parts[param], reference):
+                    du[0, i, 1:], reference):
                 err = np.max(np.abs(got - want))
                 assert err <= 1e-6 * scale, (param, t, name, err, scale)
             if param != "omega":
-                assert not np.any(parts[param][2])
+                assert not np.any(du[0, i, 3])
                 assert not np.any(session.generator_set(param, t).multiphoton)
 
 
@@ -379,3 +381,144 @@ def test_reports_at_interleaved_times_match_standalone_calls():
             assert est.qfi_upper_bound == alone.qfi_upper_bound
         assert report.incompatibility[("b0", "omega")] == incompatibility(
             gens["b0"], gens["omega"], PROBE)
+
+
+# The per-function formulas the kernel replaced, kept as its reference: the
+# variance/covariance split of the QFI, the commutator incompatibility and
+# the level-population CFI loop.
+def reference_qfi_parts(gen, psi):
+    def mean(op):
+        return float(np.real(psi.conj() @ op @ psi))
+
+    def cov(a, b):
+        return mean(0.5 * (a @ b + b @ a)) - mean(a) * mean(b)
+
+    e, q, m = gen.eigenmode, gen.quasienergy, gen.multiphoton
+    return [4.0 * cov(gen.total, gen.total), 4.0 * cov(e, e), 4.0 * cov(q, q),
+            4.0 * cov(m, m), 8.0 * (cov(e, q) + cov(e, m) + cov(q, m))]
+
+
+def reference_omega(h_l, h_m, psi):
+    return float(np.imag(psi.conj() @ (h_l @ h_m - h_m @ h_l) @ psi))
+
+
+def reference_cfi(u, du, psi):
+    amps, damps = u @ psi, du @ psi
+    fisher = 0.0
+    for p, dp in zip(np.abs(amps) ** 2, 2.0 * np.real(amps.conj() * damps)):
+        if p >= metrology.CFI_PROB_FLOOR:
+            fisher += dp * dp / p
+    return fisher
+
+
+@pytest.mark.parametrize("model, params", [
+    (RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
+    (RashbaModel(2.0, 1.0, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
+    (RashbaModel(1.0, 3.0, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
+    (RashbaModel(5.0, 5.0, 1.0).hamiltonian(), ["b0", "b1", "omega"]),
+    (RotatingFieldModel(0.5, 1.0).hamiltonian(), ["b", "omega"]),
+], ids=["rashba-0.5-0.5", "rashba-2-1", "rashba-1-3", "rashba-5-5", "rotating"])
+def test_kernel_matches_per_function_formulas(model, params):
+    # 1e-12 relative to each quantity's rounding scale 4 max |h|^2
+    session = EstimationSession(model, params, n_cut=30)
+    times = [PERIOD, 2 * PERIOD, 5 * PERIOD, 0.7, 4.1, 13.3]
+    grid = session.evaluate(PROBE, times)
+    for j, t in enumerate(times):
+        gens = [session.generator_set(p, t) for p in params]
+        u, du = session._derivatives(np.array([t]))
+        scale = 4.0 * max(np.linalg.norm(g.total, 2) ** 2 for g in gens)
+        for i, gen in enumerate(gens):
+            np.testing.assert_allclose(grid.qfi[j, i], reference_qfi_parts(gen, PROBE),
+                                       rtol=1e-12, atol=1e-12 * scale)
+            assert grid.qfim[j, i, i] == grid.qfi[j, i, 0]
+            assert grid.cfi[j, i] == pytest.approx(
+                reference_cfi(u[0], du[0, i, 0], PROBE), rel=1e-12, abs=1e-12 * scale)
+            for k in range(i + 1, len(params)):
+                assert grid.omega[j, i, k] == pytest.approx(
+                    reference_omega(gen.total, gens[k].total, PROBE),
+                    rel=1e-12, abs=1e-12 * scale)
+                assert grid.omega[j, k, i] == -grid.omega[j, i, k]
+
+
+def test_grid_times_do_not_depend_on_each_other():
+    session = EstimationSession(RashbaModel(0.7, 0.4, 1.0).hamiltonian(),
+                                ["b0", "b1", "omega"], n_cut=20)
+    times = np.linspace(0.1, 6 * PERIOD, 2 * TIME_BLOCK + 5)  # three blocks
+    grid = session.evaluate(PROBE, times)
+    fields = ("u", "generators", "gram", "qfi", "qfim", "omega", "bound", "cfi",
+              "defects")
+    for j, t in enumerate(times):
+        alone = session.evaluate(PROBE, [t])
+        for name in fields:
+            assert np.array_equal(getattr(grid, name)[j], getattr(alone, name)[0]), (j, name)
+    backwards = session.evaluate(PROBE, times[::-1])
+    for name in fields:
+        assert np.array_equal(getattr(backwards, name), getattr(grid, name)[::-1]), name
+
+
+def test_invariant_violation_names_the_failing_time(monkeypatch):
+    session = EstimationSession(RashbaModel(0.7, 0.4, 1.0).hamiltonian(),
+                                ["b0", "b1"], n_cut=12)
+    real_bounds = metrology._bounds
+
+    def bounds(totals):
+        out = real_bounds(totals)
+        out[2, 1] = -1.0  # the third time, second parameter
+        return out
+
+    monkeypatch.setattr(metrology, "_bounds", bounds)
+    with pytest.raises(InvariantViolation,
+                       match=r"upper bound -1\.0 for 'b1' at t=3\.5$"):
+        session.evaluate(PROBE, [1.5, 2.5, 3.5, 4.5])
+
+
+@pytest.mark.parametrize("b0, b1", [(0.5, 0.5), (2.0, 1.0), (3.0, 3.2),
+                                    (1.0, 3.0)])
+def test_pure_qubit_qfim_identities(b0, b1):
+    # a pure qubit's Gram matrix has rank 1: det F_lm = 4 Omega_lm^2 for every
+    # pair, and the 3 x 3 QFI matrix has rank <= 2
+    session = EstimationSession(RashbaModel(b0, b1, 1.0).hamiltonian(),
+                                ["b0", "b1", "omega"])
+    grid = session.evaluate(PROBE, np.linspace(0.5, 4 * PERIOD, 20))
+    for f, omega in zip(grid.qfim, grid.omega):
+        for l, m in ((0, 1), (0, 2), (1, 2)):
+            det = f[l, l] * f[m, m] - f[l, m] ** 2
+            assert abs(det - 4.0 * omega[l, m] ** 2) <= 1e-10 * f[l, l] * f[m, m]
+        lam = np.linalg.eigvalsh(f)
+        assert abs(lam[0]) <= 1e-10 * lam[-1]
+
+
+@pytest.mark.parametrize("probe", [-1, 2, np.array([1.0, 0.0, 0.0])],
+                         ids=["negative-index", "index-past-levels", "length-3"])
+def test_bad_probes_are_named_once_per_report(probe, monkeypatch):
+    calls = []
+    real_as_probe = metrology._as_probe
+
+    def as_probe(*args):
+        calls.append(args)
+        return real_as_probe(*args)
+
+    monkeypatch.setattr(metrology, "_as_probe", as_probe)
+    model = RashbaModel(0.5, 0.5, 1.0).hamiltonian()
+    with pytest.raises(ValueError, match=r"^probe .*levels=2$"):
+        estimation_report(model, ["b0", "b1", "omega"], probe, PERIOD, n_cut=10)
+    assert len(calls) == 1
+
+
+def test_empty_time_grid_is_named():
+    session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0"],
+                                n_cut=10)
+    with pytest.raises(ValueError, match="at least one time"):
+        session.evaluate(PROBE, [])
+
+
+def test_cfi_drops_vanishing_outcomes_with_a_warning():
+    # P_1 = 1e-14 is below the floor while dP_1 = 2e-6 is not: dropped, named
+    psi = np.array([1.0, 0.0], dtype=complex)
+    u = np.array([[[1.0, 0.0], [1e-7, 1.0]]], dtype=complex)
+    du = np.zeros((1, 2, 2, 2), dtype=complex)
+    du[0, :, 1, 0] = 10.0, 0.0
+    du[0, :, 0, 0] = 0.5
+    with pytest.warns(UserWarning, match="P=1.0e-14 but dP=2.0e-06 dropped"):
+        fisher = metrology._cfi(u, du, psi)
+    np.testing.assert_allclose(fisher, [[1.0, 1.0]], rtol=1e-12)
