@@ -9,10 +9,8 @@ parameter incompatibility.  Ships a Rashba ring-interferometer model with
 topology diagnostics and a rotating-field benchmark with closed-form oracles.
 """
 from .sambe import (FloquetBuildError, FloquetMatrix, PeriodicHamiltonian,
-                    SambeIndex, build_floquet_matrix, flat_index,
-                    fourier_components_from_timedomain,
-                    periodic_hamiltonian_from_timedomain, sambe_index,
-                    truncation_ladder)
+                    build_floquet_matrix, fourier_components_from_timedomain,
+                    periodic_hamiltonian_from_timedomain, truncation_ladder)
 from .spectral import (AmplitudeTable, DiagonalizationError, FloquetSpectrum,
                        TruncationError, amplitude_table, diagonalize,
                        fold_to_fbz)
@@ -22,8 +20,7 @@ from .propagator import (PropagatorSample, TransitionProbability,
                          transition_probability)
 from .metrology import (EstimationReport, EstimationSession, GeneratorSet,
                         GridEvaluation, InvariantViolation, ParameterEstimate,
-                        estimation_report, incompatibility, local_mean, qfi,
-                        qfi_upper_bound)
+                        estimation_report, incompatibility, local_mean, qfi)
 from .models import (RashbaModel, RotatingFieldModel, PhaseReport,
                      berry_phase_adiabatic, driving_curvature,
                      instantaneous_spectrum, rotating_generator_analytic,
@@ -39,20 +36,20 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeTable", "DiagonalizationError", "EstimationReport",
     "EstimationSession", "FloquetBuildError", "FloquetMatrix",
-    "FloquetSpectrum", "GeneratorSet", "GridEvaluation", "InvariantViolation",
-    "OracleConfig", "ParameterEstimate", "PeriodicHamiltonian", "PhaseReport",
-    "PropagatorSample", "RashbaModel", "RotatingFieldModel", "SambeIndex",
-    "TransitionProbability", "TruncationError", "amplitude_table",
-    "averaged_probability_longtime", "averaged_probability_shirley",
-    "berry_phase_adiabatic", "build_floquet_matrix",
-    "diagonalize", "driving_curvature", "estimation_report", "evolve",
-    "flat_index", "fold_to_fbz", "fourier_components_from_timedomain",
-    "generator_direct", "incompatibility",
-    "instantaneous_spectrum", "local_mean",
+    "FloquetSpectrum", "GeneratorSet", "GridEvaluation",
+    "InvariantViolation", "OracleConfig", "ParameterEstimate",
+    "PeriodicHamiltonian", "PhaseReport", "PropagatorSample", "RashbaModel",
+    "RotatingFieldModel", "TransitionProbability", "TruncationError",
+    "amplitude_table", "averaged_probability_longtime",
+    "averaged_probability_shirley", "berry_phase_adiabatic",
+    "build_floquet_matrix", "diagonalize", "driving_curvature",
+    "estimation_report", "evolve", "fold_to_fbz",
+    "fourier_components_from_timedomain", "generator_direct",
+    "incompatibility", "instantaneous_spectrum", "local_mean",
     "periodic_hamiltonian_from_timedomain", "propagate_direct", "qfi",
-    "qfi_upper_bound", "rotating_generator_analytic",
-    "rotating_incompatibility_analytic", "rotating_qfi_bound_analytic",
-    "sambe_index", "total_field", "total_phase", "transition_probability",
-    "truncation_ladder", "unit_mapping", "unitarity_defect",
-    "winding_number", "winding_number_exact", "winding_number_quadrature",
+    "rotating_generator_analytic", "rotating_incompatibility_analytic",
+    "rotating_qfi_bound_analytic", "total_field", "total_phase",
+    "transition_probability", "truncation_ladder", "unit_mapping",
+    "unitarity_defect", "winding_number", "winding_number_exact",
+    "winding_number_quadrature",
 ]

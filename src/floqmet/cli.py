@@ -119,30 +119,33 @@ class ScanSpec:
 
 
 def _scan_point(args) -> list[dict]:
-    """One row per time for one grid point, from a single session."""
+    """One row per time for one grid point, from a single session; an error
+    building the session or parsing the probe goes on every time's row."""
     spec, values = args
     names = MODEL_PARAMS[spec.model]
     params = list(names)
-    session = None
-    rows = []
-    for t in spec.times:
-        row = {name: values[name] for name in names}
-        row.update(time=t, n_cut=spec.n_cut, probe=spec.probe, error="")
+    rows = [dict({name: values[name] for name in names}, time=t,
+                 n_cut=spec.n_cut, probe=spec.probe, error="")
+            for t in spec.times]
+    try:
+        session = EstimationSession(make_model(spec.model, values), params,
+                                    spec.n_cut)
+        probe = parse_probe(spec.probe)
+    except Exception as exc:  # per-point failure: record, keep scanning
+        for row in rows:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        return rows
+    for row in rows:
         try:
-            if session is None:
-                session = EstimationSession(make_model(spec.model, values),
-                                            params, spec.n_cut)
-            probe = parse_probe(spec.probe)
-            report = estimation_report(session.model, params, probe, t,
+            report = estimation_report(session.model, params, probe, row["time"],
                                        session=session)
             for p, est in report.estimates.items():
                 row.update((col.format(p), getattr(est, f)) for col, f in ESTIMATE_COLUMNS)
             for (l, lp), om in report.incompatibility.items():
                 row[f"omega_{l}_{lp}"] = om
                 row[f"qfim_{l}_{lp}"] = float(report.qfim[params.index(l), params.index(lp)])
-        except Exception as exc:  # per-point failure: record, keep scanning
+        except Exception as exc:  # per-time failure: record, keep scanning
             row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
     return rows
 
 
@@ -296,14 +299,16 @@ def cmd_converge(args) -> int:
 
 
 def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
-    """QFI(delta) from a central difference of the session propagator (the
-    reports themselves differentiate exactly), plus a 5-point local
-    standard deviation per delta."""
+    """QFI(delta) from a central difference of the Floquet propagator
+    `evolve` (the reports themselves differentiate exactly), plus a 5-point
+    local standard deviation per delta."""
     x0 = model.params[param]
 
     def u_at(x):
-        return EstimationSession(model.with_params(**{param: x}), [],
-                                 n_cut).propagator(t)
+        spectrum = diagonalize(build_floquet_matrix(
+            model.with_params(**{param: x}), n_cut))
+        spectrum.physical_modes()  # TruncationError on an under-truncated point
+        return evolve(spectrum, t).u_matrix
 
     u0_dag, psi = u_at(x0).conj().T, np.asarray(probe, dtype=complex)
     h = np.array([1j * u0_dag @ (u_at(x0 + d) - u_at(x0 - d)) / (2 * d)

@@ -236,10 +236,6 @@ class EstimationSession:
             (len(times), 2) + self._phi.shape[1:])
         return modes[:, 0], modes[:, 1], np.exp(self._ieps * times[:, None])
 
-    def propagator(self, t: float) -> np.ndarray:
-        u_t, _, g = self._modes_at(np.array([t]))
-        return ((u_t * g[:, None]) @ self._u0_dag)[0]
-
     def _derivatives(self, times: np.ndarray):
         """U(t) (T, N, N) and dU/dx (T, P, 4, N, N): the total, then its eigenmode,
         quasienergy and multiphoton parts as in the module docstring."""
@@ -305,9 +301,14 @@ class EstimationSession:
         _check(result, self.params)
         return result
 
+    def _index(self, param: str) -> int:
+        if param not in self.params:
+            raise KeyError(f"parameter {param!r} not in session params {self.params}")
+        return self.params.index(param)
+
     def generator_set(self, param: str, t: float) -> GeneratorSet:
+        i = self._index(param)
         _, _, h, defects = self._generators(np.array([t]))
-        i = self.params.index(param)
         return GeneratorSet(param, t, *h[0, i], presym_defect=float(defects[0, i]))
 
     def cfi(self, param: str, t: float, probe,
@@ -315,6 +316,7 @@ class EstimationSession:
         """CFI of the projective measurement in the bare level basis (for two
         levels, the two outcomes {|1><1|, 1 - |1><1|}); t must be a positive
         multiple of the drive period 2 pi / omega unless stroboscopic=False."""
+        i = self._index(param)
         if stroboscopic:
             t0 = self.model.period
             cycles = t / t0
@@ -322,7 +324,7 @@ class EstimationSession:
                 raise ValueError(
                     f"t={t:.6g} is not a positive multiple of the drive period "
                     f"{t0:.6g}; use stroboscopic=False for general-t CFI")
-        return float(self.evaluate(probe, [t]).cfi[0, self.params.index(param)])
+        return float(self.evaluate(probe, [t]).cfi[0, i])
 
 
 @dataclass
@@ -368,13 +370,8 @@ def qfi(gen: GeneratorSet, probe) -> ParameterEstimate:
     one-parameter case of the report's Gram matrix."""
     h = np.array([gen.total, gen.eigenmode, gen.quasienergy, gen.multiphoton])
     parts = _qfi_parts(_gram(h, _as_probe(probe, len(h[0])))[1], 1)[0]
-    return ParameterEstimate(*map(float, parts), qfi_upper_bound(gen),
+    return ParameterEstimate(*map(float, parts), float(_bounds(gen.total)),
                              float("nan"), gen.presym_defect)
-
-
-def qfi_upper_bound(gen: GeneratorSet) -> float:
-    """Maximal-spread bound (lam_max - lam_min)^2 of the total generator."""
-    return float(_bounds(gen.total))
 
 
 def incompatibility(gen_l: GeneratorSet, gen_lp: GeneratorSet, probe) -> float:

@@ -223,39 +223,6 @@ def total_phase(model: RashbaModel, hbar: float = 1.0,
                        quadrature_points=quad_points)
 
 
-def spin_texture_field(model: RashbaModel, t, hbar: float = 1.0) -> np.ndarray:
-    """Effective precession field {0, 2|B|/hbar, K} in the Frenet-Serret frame."""
-    b = total_field(model, t)
-    k = driving_curvature(model, t)
-    return np.array([0.0, 2.0 * float(b) / hbar, float(k)])
-
-
-def precess_spin_texture(model: RashbaModel, s0, t_final: float,
-                         steps: int = 2000, hbar: float = 1.0) -> np.ndarray:
-    """Integrate d<s>/dt = H_eff x <s> with fixed-step RK4 (diagnostic).
-
-    Returns the trajectory of the Frenet-Serret-frame spin expectation values,
-    shape (steps + 1, 3).
-    """
-    s = np.asarray(s0, dtype=float).copy()
-    dt = t_final / steps
-    out = np.empty((steps + 1, 3))
-    out[0] = s
-
-    def deriv(time, vec):
-        return np.cross(spin_texture_field(model, time, hbar), vec)
-
-    for i in range(steps):
-        t = i * dt
-        k1 = deriv(t, s)
-        k2 = deriv(t + dt / 2, s + dt / 2 * k1)
-        k3 = deriv(t + dt / 2, s + dt / 2 * k2)
-        k4 = deriv(t + dt, s + dt * k3)
-        s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i + 1] = s
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rotating-field closed forms
 # ---------------------------------------------------------------------------

@@ -84,33 +84,17 @@ class PeriodicHamiltonian:
             max_harmonic=self.max_harmonic,
         )
 
-    def check_hermiticity(self, tol: float = HERMITICITY_TOL) -> None:
+    def check_hermiticity(self) -> None:
         for n in range(self.max_harmonic + 1):
             defect = np.max(np.abs(self.component(-n) - self.component(n).conj().T))
-            if defect > tol:
+            if defect > HERMITICITY_TOL:
                 raise FloquetBuildError(
                     f"Fourier set is not Hermitian: |H(-{n}) - H({n})^dag| = {defect:.3e}")
 
 
-@dataclass(frozen=True)
-class SambeIndex:
-    """Composite (level, Fourier sector) index into the truncated Sambe space."""
-
-    level: int
-    fourier: int
-
-
-def flat_index(level: int, fourier: int, levels: int, n_cut: int) -> int:
-    return (fourier + n_cut) * levels + level
-
-
-def sambe_index(flat: int, levels: int, n_cut: int) -> SambeIndex:
-    return SambeIndex(level=flat % levels, fourier=flat // levels - n_cut)
-
-
 @dataclass
 class FloquetMatrix:
-    """Dense truncated Floquet Hamiltonian with sector bookkeeping."""
+    """Dense truncated Floquet Hamiltonian, index (k + n_cut) * levels + gamma."""
 
     n_cut: int
     levels: int
@@ -120,11 +104,6 @@ class FloquetMatrix:
     @property
     def dim(self) -> int:
         return self.levels * (2 * self.n_cut + 1)
-
-    def block(self, k: int, m: int) -> np.ndarray:
-        """The (k, m) sector block as a view into the dense matrix."""
-        n, nl = self.n_cut, self.levels
-        return self.data[(k + n) * nl:(k + n + 1) * nl, (m + n) * nl:(m + n + 1) * nl]
 
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.data - self.data.conj().T)))

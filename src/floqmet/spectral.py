@@ -132,14 +132,13 @@ def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
 class AmplitudeTable:
     """Transition amplitudes B[alpha, k, gamma, beta].
 
-    B = <gamma,k|lambda_alpha><lambda_alpha|beta,input_sector>; each entry is
+    B = <gamma,k|lambda_alpha><lambda_alpha|beta,0>; each entry is
     invariant under a global phase change of the eigenvector, so tables at
     neighboring parameter values can be differenced once modes are paired.
     """
 
     entries: np.ndarray = field(repr=False)  # (dim, n_sectors, N, N)
     k_values: np.ndarray = field(repr=False)
-    input_sector: int = 0
 
     def identity_defect(self) -> float:
         """Deviation of sum_{alpha,k} B from the identity (phase-free sum)."""
@@ -147,15 +146,12 @@ class AmplitudeTable:
         return float(np.max(np.abs(total - np.eye(total.shape[0]))))
 
 
-def amplitude_table(spectrum: FloquetSpectrum, input_sector: int = 0) -> AmplitudeTable:
-    """All transition amplitudes out of the given input Fourier sector."""
-    if abs(input_sector) > spectrum.n_cut:
-        raise ValueError(f"input_sector {input_sector} outside truncation")
+def amplitude_table(spectrum: FloquetSpectrum) -> AmplitudeTable:
+    """All transition amplitudes out of the input Fourier sector 0."""
     view = spectrum.sector_view()                      # [k, gamma, alpha]
-    inp = view[input_sector + spectrum.n_cut].conj()   # [beta, alpha]
+    inp = view[spectrum.n_cut].conj()                  # [beta, alpha]
     entries = np.einsum("kga,ba->akgb", view, inp)
     return AmplitudeTable(
         entries=entries,
         k_values=np.arange(-spectrum.n_cut, spectrum.n_cut + 1),
-        input_sector=input_sector,
     )

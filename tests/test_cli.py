@@ -107,6 +107,27 @@ def test_qfi_exit_code_reads_every_row(tmp_path, monkeypatch):
     assert "InvariantViolation" in second.split(",")[error]
 
 
+def test_failing_point_builds_its_session_once(monkeypatch):
+    # an under-truncated point fails at build time: one build, one error per row
+    built = []
+
+    class CountingSession(cli.EstimationSession):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "EstimationSession", CountingSession)
+    spec = ScanSpec(model="rashba", sweeps=[],
+                    fixed={"b0": 12.0, "b1": 12.0, "omega": 1.0},
+                    times=[0.5 * k for k in range(1, 9)], n_cut=16)
+    rows, failures = run_scan(spec)
+    assert len(built) == 1
+    assert failures == len(rows) == 8
+    assert len({row["error"] for row in rows}) == 1
+    assert rows[0]["error"].startswith("TruncationError: ")
+    assert [row["time"] for row in rows] == spec.times
+
+
 def test_csv_rows_are_as_wide_as_the_header(tmp_path):
     # a custom probe "1,0" and an error message both hold commas
     out = tmp_path / "qfi.csv"

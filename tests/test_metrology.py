@@ -8,8 +8,7 @@ import pytest
 from floqmet import metrology, propagator, spectral
 from floqmet.metrology import (TIME_BLOCK, EstimationSession, GeneratorSet,
                                InvariantViolation, estimation_report,
-                               incompatibility, local_mean, qfi,
-                               qfi_upper_bound)
+                               incompatibility, local_mean, qfi)
 from floqmet.models import (SIGMA_X, SIGMA_Y, SIGMA_Z, RashbaModel,
                             RotatingFieldModel, rotating_generator_analytic,
                             rotating_incompatibility_analytic)
@@ -50,7 +49,7 @@ def test_qfi_simple_generators():
     c = 0.8
     est = qfi(make_set(c * SIGMA_Z), np.array([1, 1]) / math.sqrt(2))
     assert est.qfi_total == pytest.approx(4 * c * c)
-    assert qfi_upper_bound(make_set(c * SIGMA_Z)) == pytest.approx(4 * c * c)
+    assert est.qfi_upper_bound == pytest.approx(4 * c * c)
     # eigenstate probe: zero variance
     assert qfi(make_set(c * SIGMA_Z), 0).qfi_total == pytest.approx(0.0)
     # zero generator
@@ -170,10 +169,18 @@ def test_report_rejects_arguments_that_differ_from_the_session():
             estimation_report(**args)
 
 
-def test_unknown_parameter_is_named():
+def test_unknown_parameter_is_named(monkeypatch):
     with pytest.raises(KeyError, match="'x' not in model params"):
         EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["x"],
                           n_cut=10)
+    session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
+                                ["b0"], n_cut=10)
+    monkeypatch.setattr(session, "_generators", None)  # no evaluation runs
+    for call in (lambda: session.generator_set("b1", PERIOD),
+                 lambda: session.cfi("b1", PERIOD, PROBE)):
+        with pytest.raises(KeyError,
+                           match=r"'b1' not in session params \['b0'\]"):
+            call()
 
 
 def test_probe_normalization_enforced():
@@ -309,7 +316,7 @@ def test_session_diagonalizes_once(monkeypatch):
 def test_reduced_propagator_matches_full_sum(b0, b1):
     session = EstimationSession(RashbaModel(b0, b1, 1.0).hamiltonian(), [])
     for t in (1.3, PERIOD, 2 * PERIOD, 20.0):
-        np.testing.assert_allclose(session.propagator(t),
+        np.testing.assert_allclose(session.evaluate(PROBE, [t]).u[0],
                                    evolve(session.center, t).u_matrix,
                                    rtol=0, atol=1e-12)
 

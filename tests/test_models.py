@@ -6,10 +6,10 @@ import pytest
 
 from floqmet.models import (RashbaModel, RotatingFieldModel,
                             berry_phase_adiabatic, driving_curvature,
-                            instantaneous_spectrum, precess_spin_texture,
+                            instantaneous_spectrum,
                             rotating_generator_analytic,
                             rotating_incompatibility_analytic,
-                            rotating_qfi_bound_analytic, spin_texture_field,
+                            rotating_qfi_bound_analytic,
                             total_field, total_phase, unit_mapping,
                             winding_number, winding_number_exact,
                             winding_number_quadrature)
@@ -82,19 +82,6 @@ def test_phase_static_field_limit():
 def test_phase_singular_on_boundary():
     with pytest.raises(ValueError):
         total_phase(RashbaModel(1.0, 1.0, 1.0))
-
-
-def test_spin_texture_field_pure_rotation():
-    field = spin_texture_field(RashbaModel(2.0, 0.0, 1.0), 0.7)
-    np.testing.assert_allclose(field, [0.0, 4.0, -1.0], atol=1e-12)
-
-
-def test_precession_conserves_norm():
-    model = RashbaModel(2.0, 1.0, 1.0)
-    s0 = np.array([0.3, -0.5, math.sqrt(1 - 0.09 - 0.25)])
-    traj = precess_spin_texture(model, s0, model.period, steps=2000)
-    norms = np.linalg.norm(traj, axis=1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-8)
 
 
 def test_rotating_generator_closed_forms():

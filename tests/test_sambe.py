@@ -6,9 +6,9 @@ import pytest
 
 from floqmet.models import SIGMA_X, SIGMA_Y, RashbaModel, RotatingFieldModel
 from floqmet.sambe import (FloquetBuildError, PeriodicHamiltonian,
-                           build_floquet_matrix, flat_index,
+                           build_floquet_matrix,
                            fourier_components_from_timedomain,
-                           periodic_hamiltonian_from_timedomain, sambe_index,
+                           periodic_hamiltonian_from_timedomain,
                            truncation_ladder)
 
 
@@ -74,12 +74,13 @@ def test_vectorised_build_matches_block_loop(model, real, extra):
 def test_static_model_is_block_diagonal():
     h0 = np.array([[0.3, 0.1], [0.1, -0.2]])
     matrix = build_floquet_matrix(static_model(h0), 3)
+    blocks = matrix.data.reshape(7, 2, 7, 2)  # [k, gamma, m, beta]
     for k in range(-3, 4):
-        np.testing.assert_allclose(matrix.block(k, k),
+        np.testing.assert_allclose(blocks[k + 3, :, k + 3],
                                    h0 + k * np.eye(2), atol=1e-14)
         for m in range(-3, 4):
             if m != k:
-                assert np.all(matrix.block(k, m) == 0)
+                assert np.all(blocks[k + 3, :, m + 3] == 0)
 
 
 def test_rashba_fourier_reassembly():
@@ -139,13 +140,6 @@ def test_truncation_ladder_dims():
         truncation_ladder(toy, [2, 2])
 
 
-def test_flat_index_roundtrip():
-    for flat in range(2 * (2 * 3 + 1)):
-        idx = sambe_index(flat, 2, 3)
-        assert flat_index(idx.level, idx.fourier, 2, 3) == flat
-    assert flat_index(0, 0, 2, 3) == 6  # center sector starts mid-ladder
-
-
 def test_build_rejects_small_cutoff():
     ham = RashbaModel(0.5, 0.5, 1.0).hamiltonian()
     with pytest.raises(FloquetBuildError):
@@ -175,7 +169,8 @@ def test_with_params_moves_drive_frequency():
     shifted = ham.with_params(omega=1.2)
     assert shifted.omega == pytest.approx(1.2)
     matrix = build_floquet_matrix(shifted, 2)
-    np.testing.assert_allclose(np.diag(matrix.block(2, 2)).real, 2 * 1.2,
+    top = matrix.data.reshape(5, 2, 5, 2)[4, :, 4]  # the k = m = 2 block
+    np.testing.assert_allclose(np.diag(top).real, 2 * 1.2,
                                atol=1e-14)
     with pytest.raises(KeyError):
         ham.with_params(nope=1.0)

@@ -116,9 +116,3 @@ def test_too_few_physical_modes_is_a_truncation_error():
     with pytest.raises(TruncationError, match="0 of 2 physical Floquet modes"):
         spectrum.physical_modes()
 
-
-def test_input_sector_bounds():
-    spectrum = diagonalize(
-        build_floquet_matrix(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), 2))
-    with pytest.raises(ValueError):
-        amplitude_table(spectrum, input_sector=3)
