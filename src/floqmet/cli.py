@@ -359,6 +359,7 @@ def cmd_phase(args) -> int:
 def cmd_oracle_check(args) -> int:
     model = _physical_model(args.model, _model_values(args))
     spectrum = diagonalize(build_floquet_matrix(model.hamiltonian(), args.ncut))
+    spectrum.physical_modes()  # TruncationError before any integration
     cfg = OracleConfig(step_count=args.steps, scheme=args.scheme)
     rows = []
     for t in _times(args):

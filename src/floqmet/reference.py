@@ -47,12 +47,21 @@ def _hamiltonians(h_of_t: Callable[[np.ndarray], np.ndarray],
         f"got {h.shape} for {len(times)} times")
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of N x N matrices, as N broadcast multiply-adds (a
+    BLAS call per matrix, as np.matmul makes, outweighs a 2 x 2 product)."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
     """mats[-1] @ ... @ mats[0] by a pairwise product tree (later times on the
     left)."""
     while len(mats) > 1:
         even = len(mats) - len(mats) % 2
-        pairs = mats[1:even:2] @ mats[0:even:2]
+        pairs = _matmul(mats[1:even:2], mats[0:even:2])
         mats = pairs if even == len(mats) else np.concatenate([pairs, mats[even:]])
     return mats[0]
 
@@ -81,16 +90,16 @@ def propagate_direct(h_of_t: Callable[[np.ndarray], np.ndarray], t: float,
         if cfg.scheme == "midpoint-exponential":
             mid = (np.arange(start, stop) + 0.5) * dt
             lam, vec = np.linalg.eigh(_hamiltonians(h_of_t, mid))
-            steps = ((vec * np.exp(-1j * lam * dt)[:, None, :])
-                     @ vec.conj().swapaxes(1, 2))
+            steps = _matmul(vec * np.exp(-1j * lam * dt)[:, None, :],
+                            vec.conj().swapaxes(1, 2))
         else:
             # M = -iH on the half-step grid s_0, s_0 + dt/2, ..., s_n
             half = np.arange(2 * start, 2 * stop + 1) * (dt / 2)
             m = -1j * _hamiltonians(h_of_t, half)
             m0, mh, m1 = m[0:-1:2], m[1::2], m[2::2]
-            k2 = mh @ (eye + dt / 2 * m0)
-            k3 = mh @ (eye + dt / 2 * k2)
-            k4 = m1 @ (eye + dt * k3)
+            k2 = _matmul(mh, eye + dt / 2 * m0)
+            k3 = _matmul(mh, eye + dt / 2 * k2)
+            k4 = _matmul(m1, eye + dt * k3)
             steps = eye + dt / 6 * (m0 + 2 * k2 + 2 * k3 + k4)
         u = _ordered_product(steps) @ u
     return u

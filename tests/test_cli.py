@@ -217,6 +217,26 @@ def test_oracle_check_command(tmp_path):
     assert float(row[1]) < 1e-4
 
 
+def test_oracle_check_refuses_under_truncation(monkeypatch, capsys):
+    def integrate(*_args):
+        raise AssertionError("integrated an under-truncated point")
+
+    monkeypatch.setattr(cli, "propagate_direct", integrate)
+    assert exit_code(["oracle-check", "--b0", "12", "--b1", "12",
+                      "--ncut", "16", "--steps", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_cut=16 is too small" in captured.err
+
+
+def test_evolve_flags_under_truncation(tmp_path):
+    out = tmp_path / "evolve.csv"
+    assert main(["evolve", "--b0", "12", "--b1", "12", "--ncut", "16",
+                 "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["flagged"] == "1"
+
+
 def test_stepsize_span_guard():
     result = run_cli("stepsize", "--param", "b0", "--deltas", "1e-6,2e-6",
                      "--ncut", "10")

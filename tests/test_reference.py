@@ -1,4 +1,5 @@
 """Direct time-ordered propagation oracle tests."""
+import functools
 import math
 
 import numpy as np
@@ -6,20 +7,34 @@ import pytest
 
 from floqmet.models import (SIGMA_X, RashbaModel, RotatingFieldModel,
                             rotating_generator_analytic)
-from floqmet.reference import (STEP_BLOCK, OracleConfig, generator_direct,
+from floqmet.reference import (STEP_BLOCK, OracleConfig, _matmul,
+                               _ordered_product, generator_direct,
                                propagate_direct, unitarity_defect)
 from floqmet.sambe import PeriodicHamiltonian
+
+
+def three_level_drive():
+    """Fixed 3-level Hermitian Fourier set with max_harmonic 1."""
+    rng = np.random.default_rng(3)
+    h0 = 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    h1 = 0.4 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    comps = {0: 0.5 * (h0 + h0.conj().T), 1: h1, -1: h1.conj().T}
+    return PeriodicHamiltonian(levels=3, omega=1.1, params={},
+                               fourier_component=lambda n, _p: comps[n],
+                               max_harmonic=1)
+
 
 HAMILTONIANS = {
     "rashba": RashbaModel(1.3, 0.8, 1.0).h_at,
     "rotating": RotatingFieldModel(0.7, 1.2).h_at,
     "periodic": RashbaModel(0.6, 1.9, 0.9).hamiltonian().h_at,
+    "three-level": three_level_drive().h_at,
 }
 
 
 def propagate_loop(h_of_t, t, cfg):
     """Step-by-step reference: one scalar-time step per iteration."""
-    u = np.eye(2, dtype=complex)
+    u = np.eye(h_of_t(0.0).shape[-1], dtype=complex)
     dt = t / cfg.step_count
     for i in range(cfg.step_count):
         if cfg.scheme == "midpoint-exponential":
@@ -48,6 +63,16 @@ def test_static_hamiltonian_matches_expm():
     t = 2.3
     expected = (math.cos(0.7 * t) * np.eye(2)
                 - 1j * math.sin(0.7 * t) * SIGMA_X)
+    for scheme in ("midpoint-exponential", "rk4"):
+        u = propagate_direct(lambda _t: h0, t, OracleConfig(2000, scheme))
+        np.testing.assert_allclose(u, expected, atol=1e-10)
+
+
+def test_static_three_level_matches_eigh_exponential():
+    h0 = three_level_drive().component(0)
+    t = 2.3
+    lam, vec = np.linalg.eigh(h0)
+    expected = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
     for scheme in ("midpoint-exponential", "rk4"):
         u = propagate_direct(lambda _t: h0, t, OracleConfig(2000, scheme))
         np.testing.assert_allclose(u, expected, atol=1e-10)
@@ -114,7 +139,8 @@ def test_generator_rejects_bad_delta():
 
 @pytest.mark.parametrize("name", sorted(HAMILTONIANS))
 @pytest.mark.parametrize("scheme", ["midpoint-exponential", "rk4"])
-@pytest.mark.parametrize("steps", [1, 7, 511, 512, 513, 20000])
+@pytest.mark.parametrize("steps", [1, 7, STEP_BLOCK - 1, STEP_BLOCK,
+                                   STEP_BLOCK + 1, 20000])
 def test_batched_oracle_matches_step_loop(name, scheme, steps):
     h_of_t = HAMILTONIANS[name]
     cfg = OracleConfig(steps, scheme)
@@ -127,9 +153,10 @@ def test_h_at_array_stacks_scalar_calls(name):
     h_of_t = HAMILTONIANS[name]
     times = np.linspace(-0.4, 7.9, 12).reshape(3, 4)
     stacked = np.array([[h_of_t(float(t)) for t in row] for row in times])
-    assert h_of_t(times).shape == (3, 4, 2, 2)
+    dim = stacked.shape[-1]
+    assert h_of_t(times).shape == (3, 4, dim, dim)
     assert np.array_equal(h_of_t(times), stacked)
-    assert h_of_t(0.3).shape == (2, 2)
+    assert h_of_t(0.3).shape == (dim, dim)
 
 
 @pytest.mark.parametrize("scheme", ["midpoint-exponential", "rk4"])
@@ -151,3 +178,21 @@ def test_oracle_batches_are_bounded(scheme):
 def test_unbroadcastable_hamiltonian_rejected(h_of_t):
     with pytest.raises(ValueError, match=r"must return shape \(len\(times\), N, N\)"):
         propagate_direct(h_of_t, 1.0, OracleConfig(10))
+
+
+def random_stack(rng, length, n):
+    return rng.normal(size=(length, n, n)) + 1j * rng.normal(size=(length, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("length", [1, 7, 513])
+def test_small_matrix_kernel_matches_matmul(n, length):
+    rng = np.random.default_rng(10 * n + length)
+    a, b = random_stack(rng, length, n), random_stack(rng, length, n)
+    scale = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
+    err = np.max(np.abs(_matmul(a, b) - a @ b), axis=(1, 2))
+    assert np.all(err <= 1e-13 * scale)
+    # unitary factors keep the norm of the whole product at 1
+    mats = np.linalg.qr(random_stack(rng, length, n))[0]
+    left_to_right = functools.reduce(lambda acc, m: m @ acc, mats)
+    assert np.max(np.abs(_ordered_product(mats) - left_to_right)) <= 1e-13
