@@ -12,7 +12,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +161,7 @@ def scan_columns(spec: ScanSpec) -> list[str]:
 def run_scan(spec: ScanSpec) -> tuple[list[dict], int]:
     tasks = [(spec, values) for values in spec.grid_points()]
     if spec.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             per_point = list(pool.map(_scan_point, tasks, chunksize=1))
     else:

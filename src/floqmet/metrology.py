@@ -288,6 +288,9 @@ class EstimationSession:
         times = np.asarray(times, dtype=float).reshape(-1)
         if not times.size:
             raise ValueError("evaluate needs at least one time")
+        bad = times[~(np.isfinite(times) & (times >= 0))]
+        if bad.size:
+            raise ValueError(f"t={float(bad[0])!r} must be finite and non-negative")
         out = []
         for start in range(0, len(times), TIME_BLOCK):
             block = times[start:start + TIME_BLOCK]
@@ -414,13 +417,15 @@ def _check(grid: GridEvaluation, params) -> None:
     """Raise InvariantViolation at the first failing (time, parameter, check)."""
     total = grid.qfi[..., 0]
     defect = np.abs(total - grid.qfi[..., 1:].sum(axis=-1))
-    bad = np.array((defect > DECOMPOSITION_TOL, total < -1e-9,
+    finite = np.isfinite(total) & np.isfinite(grid.bound) & np.isfinite(grid.cfi)
+    bad = np.array((~finite, defect > DECOMPOSITION_TOL, total < -1e-9,
                     total > grid.bound + DECOMPOSITION_TOL,
                     grid.cfi > total + DECOMPOSITION_TOL))
     if bad.any():
         j, i, kind = np.argwhere(bad.transpose(1, 2, 0))[0]
         p, total, bound, cfi = params[i], total[j, i], grid.bound[j, i], grid.cfi[j, i]
-        message = (f"QFI decomposition defect {defect[j, i]:.2e} for {p!r} exceeds "
+        message = (f"non-finite QFI {total}, bound {bound} or CFI {cfi} for {p!r}",
+                   f"QFI decomposition defect {defect[j, i]:.2e} for {p!r} exceeds "
                    f"{DECOMPOSITION_TOL}", f"negative QFI {total} for {p!r}",
                    f"QFI {total} exceeds its upper bound {bound} for {p!r}",
                    f"CFI {cfi} exceeds QFI {total} for {p!r}")[kind]

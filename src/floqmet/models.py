@@ -73,9 +73,11 @@ class RashbaModel:
 
     def h_at(self, t) -> np.ndarray:
         """H(t); an array of times gives shape t.shape + (2, 2)."""
-        wt = self.omega * np.asarray(t, dtype=float)[..., None, None]
-        return (self.b0 * (np.cos(wt) * SIGMA_X + np.sin(wt) * SIGMA_Y)
-                - self.b1 * SIGMA_X)
+        wt = self.omega * np.asarray(t, dtype=float)
+        h = np.zeros(wt.shape + (2, 2), dtype=complex)
+        h[..., 0, 1] = self.b0 * np.exp(-1j * wt) - self.b1
+        h[..., 1, 0] = h[..., 0, 1].conj()
+        return h
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,12 @@ class RotatingFieldModel:
 
     def h_at(self, t) -> np.ndarray:
         """H(t); an array of times gives shape t.shape + (2, 2)."""
-        wt = self.omega * np.asarray(t, dtype=float)[..., None, None]
-        return -self.b * (np.cos(wt) * SIGMA_X + np.sin(wt) * SIGMA_Z)
+        wt = self.omega * np.asarray(t, dtype=float)
+        h = np.empty(wt.shape + (2, 2), dtype=complex)
+        h[..., 0, 0] = -self.b * np.sin(wt)
+        h[..., 1, 1] = -h[..., 0, 0]
+        h[..., 0, 1] = h[..., 1, 0] = -self.b * np.cos(wt)
+        return h
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ def evolve(spectrum: FloquetSpectrum, t: float) -> PropagatorSample:
     where all sideband phase factors collapse to unity.  A unitarity defect
     above `DEFECT_TOL` flags (never hides) an insufficient cutoff.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t={float(t)!r} must be finite and non-negative")
     ck = _sideband_amplitudes(spectrum, t)
     k = np.arange(-spectrum.n_cut, spectrum.n_cut + 1)
     u = np.tensordot(np.exp(1j * k * spectrum.omega * t), ck, axes=(0, 0))

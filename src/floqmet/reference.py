@@ -48,22 +48,24 @@ def _hamiltonians(h_of_t: Callable[[np.ndarray], np.ndarray],
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of N x N matrices, as N broadcast multiply-adds (a
-    BLAS call per matrix, as np.matmul makes, outweighs a 2 x 2 product)."""
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j, None] * b[..., None, j, :]
+    """a @ b over step-last stacks (N, N, steps), as N broadcast
+    multiply-adds: each ufunc loop runs over the steps, not over a length-N
+    row, and no BLAS call is made per N x N matrix."""
+    out = a[:, 0, None] * b[None, 0]
+    for j in range(1, a.shape[0]):
+        out += a[:, j, None] * b[None, j]
     return out
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[-1] @ ... @ mats[0] by a pairwise product tree (later times on the
-    left)."""
-    while len(mats) > 1:
-        even = len(mats) - len(mats) % 2
-        pairs = _matmul(mats[1:even:2], mats[0:even:2])
-        mats = pairs if even == len(mats) else np.concatenate([pairs, mats[even:]])
-    return mats[0]
+    """mats[..., -1] @ ... @ mats[..., 0] over a step-last stack by a pairwise
+    product tree (later times on the left)."""
+    while mats.shape[-1] > 1:
+        even = mats.shape[-1] - mats.shape[-1] % 2
+        pairs = _matmul(mats[..., 1:even:2], mats[..., 0:even:2])
+        mats = (pairs if even == mats.shape[-1]
+                else np.concatenate([pairs, mats[..., even:]], axis=-1))
+    return mats[..., 0]
 
 
 def propagate_direct(h_of_t: Callable[[np.ndarray], np.ndarray], t: float,
@@ -75,28 +77,31 @@ def propagate_direct(h_of_t: Callable[[np.ndarray], np.ndarray], t: float,
     them, shape (len(times), N, N); a result that broadcasts to that shape
     (a constant N x N matrix) is accepted.  The steps run in blocks of
     STEP_BLOCK: each block evaluates its Hamiltonians in one call, builds all
-    its step matrices at once and multiplies them by a pairwise product tree.
+    its step matrices at once and multiplies them by a pairwise product tree,
+    on step-last (N, N, steps) copies of the stacks.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t={float(t)!r} must be finite and non-negative")
     dim = _hamiltonians(h_of_t, np.zeros(1)).shape[-1]
     u = np.eye(dim, dtype=complex)
     if t == 0:
         return u
     dt = t / cfg.step_count
-    eye = np.eye(dim)
+    eye = np.eye(dim)[..., None]
     for start in range(0, cfg.step_count, STEP_BLOCK):
         stop = min(start + STEP_BLOCK, cfg.step_count)
         if cfg.scheme == "midpoint-exponential":
             mid = (np.arange(start, stop) + 0.5) * dt
             lam, vec = np.linalg.eigh(_hamiltonians(h_of_t, mid))
-            steps = _matmul(vec * np.exp(-1j * lam * dt)[:, None, :],
-                            vec.conj().swapaxes(1, 2))
+            vec = np.ascontiguousarray(vec.transpose(1, 2, 0))
+            steps = _matmul(vec * np.exp(-1j * lam.T * dt),
+                            vec.conj().transpose(1, 0, 2))
         else:
             # M = -iH on the half-step grid s_0, s_0 + dt/2, ..., s_n
             half = np.arange(2 * start, 2 * stop + 1) * (dt / 2)
-            m = -1j * _hamiltonians(h_of_t, half)
-            m0, mh, m1 = m[0:-1:2], m[1::2], m[2::2]
+            m = -1j * np.ascontiguousarray(
+                _hamiltonians(h_of_t, half).transpose(1, 2, 0))
+            m0, mh, m1 = m[..., 0:-1:2], m[..., 1::2], m[..., 2::2]
             k2 = _matmul(mh, eye + dt / 2 * m0)
             k3 = _matmul(mh, eye + dt / 2 * k2)
             k4 = _matmul(m1, eye + dt * k3)

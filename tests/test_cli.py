@@ -20,12 +20,16 @@ from floqmet.metrology import InvariantViolation
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
+def run_python(*args):
     # the pytest `pythonpath` option does not reach a child process
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "floqmet.cli", *args],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "floqmet.cli", *args)
 
 
 def test_parse_grid():
@@ -183,6 +187,13 @@ def test_scan_cli_failure_exit_code(tmp_path):
     assert len(lines) == 3
     assert lines[0].split(",") == scan_columns(
         ScanSpec(model="rashba", sweeps=[], fixed={}, times=[]))
+
+
+def test_import_leaves_the_process_pool_out():
+    # multiprocessing costs start-up time; only `scan --jobs N` (N > 1) needs it
+    result = run_python("-c", "import sys, floqmet.cli; "
+                        "assert 'concurrent.futures.process' not in sys.modules")
+    assert result.returncode == 0, result.stderr
 
 
 def test_scan_determinism_and_parallel_order(tmp_path):
@@ -359,10 +370,30 @@ def test_config_sweep_is_a_list_the_command_line_replaces(tmp_path):
     ["scan", "--sweep", "b0=0:1:1"],
     ["stepsize", "--param", "b0", "--deltas", "1e-6,2e-6"],
     ["scaling", "--param", "b0", "--t-grid", "0.5:2:4"],
+    ["evolve", "--t", "nan"],
+    ["evolve", "--t", "inf"],
+    ["oracle-check", "--steps", "100", "--t", "nan"],
 ])
 def test_input_guards_exit_with_code_2(argv, capsys):
     assert exit_code(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["qfi", "--t", "nan"], 3, "ValueError: t=nan must be finite and non-negative"),
+    (["qfi", "--t", "inf"], 3, "ValueError: t=inf must be finite and non-negative"),
+    (["qfi", "--t", "-1"], 3, "ValueError: t=-1.0 must be finite and non-negative"),
+    (["qfi", "--t", "1e300"], 2, "InvariantViolation: non-finite QFI"),
+    (["scan", "--t", "nan", "--sweep", "b0=0.4:0.6:2"], 3,
+     "ValueError: t=nan must be finite and non-negative"),
+])
+@pytest.mark.filterwarnings("ignore:generator Hermiticity defect")
+def test_bad_times_are_row_errors(argv, code, error, tmp_path):
+    out = tmp_path / "rows.csv"
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert main(argv + ["--ncut", "10", "--out", str(out)]) == code
+    rows = list(csv.DictReader(out.open()))
+    assert rows and all(row["error"].startswith(error) for row in rows)
 
 
 def test_converge_reports_under_truncation(capsys):

@@ -529,3 +529,21 @@ def test_cfi_drops_vanishing_outcomes_with_a_warning():
     with pytest.warns(UserWarning, match="P=1.0e-14 but dP=2.0e-06 dropped"):
         fisher = metrology._cfi(u, du, psi)
     np.testing.assert_allclose(fisher, [[1.0, 1.0]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_negative_or_non_finite_time_is_named(bad):
+    session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0"],
+                                n_cut=10)
+    with pytest.raises(ValueError, match=f"^t={bad!r} must be finite and non-negative"):
+        session.evaluate(PROBE, [PERIOD, bad])
+
+
+@pytest.mark.filterwarnings("ignore:generator Hermiticity defect")
+def test_non_finite_estimate_is_an_invariant_violation():
+    # a finite time so late that the generators overflow
+    session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0"],
+                                n_cut=10)
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            InvariantViolation, match=r"^non-finite QFI .* for 'b0' at t=1e\+300$"):
+        session.evaluate(PROBE, [PERIOD, 1e300, 2e300])

@@ -108,5 +108,6 @@ def test_longtime_static_ground_weight():
 
 
 def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        evolve(spectrum_for(0.5, 0.5, n_cut=2), -1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^t={t!r} must be finite"):
+            evolve(spectrum_for(0.5, 0.5, n_cut=2), t)

@@ -106,8 +106,9 @@ def test_schemes_agree():
 
 
 def test_negative_time_rejected():
-    with pytest.raises(ValueError):
-        propagate_direct(lambda t: SIGMA_X, -0.1)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^t={t!r} must be finite"):
+            propagate_direct(lambda _t: SIGMA_X, t)
 
 
 def test_generator_spectator_parameter():
@@ -181,7 +182,8 @@ def test_unbroadcastable_hamiltonian_rejected(h_of_t):
 
 
 def random_stack(rng, length, n):
-    return rng.normal(size=(length, n, n)) + 1j * rng.normal(size=(length, n, n))
+    """Step-last stack: `length` complex n x n matrices along the last axis."""
+    return rng.normal(size=(n, n, length)) + 1j * rng.normal(size=(n, n, length))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -189,10 +191,12 @@ def random_stack(rng, length, n):
 def test_small_matrix_kernel_matches_matmul(n, length):
     rng = np.random.default_rng(10 * n + length)
     a, b = random_stack(rng, length, n), random_stack(rng, length, n)
-    scale = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2))
-    err = np.max(np.abs(_matmul(a, b) - a @ b), axis=(1, 2))
+    scale = np.linalg.norm(a, axis=(0, 1)) * np.linalg.norm(b, axis=(0, 1))
+    expected = (a.transpose(2, 0, 1) @ b.transpose(2, 0, 1)).transpose(1, 2, 0)
+    err = np.max(np.abs(_matmul(a, b) - expected), axis=(0, 1))
     assert np.all(err <= 1e-13 * scale)
     # unitary factors keep the norm of the whole product at 1
-    mats = np.linalg.qr(random_stack(rng, length, n))[0]
+    mats = np.linalg.qr(random_stack(rng, length, n).transpose(2, 0, 1))[0]
     left_to_right = functools.reduce(lambda acc, m: m @ acc, mats)
-    assert np.max(np.abs(_ordered_product(mats) - left_to_right)) <= 1e-13
+    product = _ordered_product(np.ascontiguousarray(mats.transpose(1, 2, 0)))
+    assert np.max(np.abs(product - left_to_right)) <= 1e-13
