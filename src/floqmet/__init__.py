@@ -10,7 +10,7 @@ topology diagnostics and a rotating-field benchmark with closed-form oracles.
 """
 from .sambe import (FloquetBuildError, FloquetMatrix, PeriodicHamiltonian,
                     build_floquet_matrix, fourier_components_from_timedomain,
-                    periodic_hamiltonian_from_timedomain, truncation_ladder)
+                    periodic_hamiltonian_from_timedomain)
 from .spectral import (AmplitudeTable, DiagonalizationError, FloquetSpectrum,
                        TruncationError, amplitude_table, diagonalize,
                        fold_to_fbz)
@@ -49,7 +49,6 @@ __all__ = [
     "periodic_hamiltonian_from_timedomain", "propagate_direct", "qfi",
     "rotating_generator_analytic", "rotating_incompatibility_analytic",
     "rotating_qfi_bound_analytic", "total_field", "total_phase",
-    "transition_probability", "truncation_ladder", "unit_mapping",
-    "unitarity_defect", "winding_number", "winding_number_exact",
-    "winding_number_quadrature",
+    "transition_probability", "unit_mapping", "unitarity_defect",
+    "winding_number", "winding_number_exact", "winding_number_quadrature",
 ]

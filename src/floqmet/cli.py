@@ -18,12 +18,12 @@ import numpy as np
 
 from . import models as mdl
 from .metrology import (DEFAULT_N_CUT, DEFAULT_SMOOTH_WINDOW, EstimationSession,
-                        InvariantViolation, _gram, estimation_report,
-                        local_mean)
+                        InvariantViolation, _as_probe, _gram,
+                        estimation_report, local_mean)
 from .models import RashbaModel, RotatingFieldModel
 from .propagator import evolve
 from .reference import OracleConfig, propagate_direct, unitarity_defect
-from .sambe import build_floquet_matrix, truncation_ladder
+from .sambe import _param_value, build_floquet_matrix
 from .spectral import diagonalize
 
 EXIT_OK = 0
@@ -280,7 +280,8 @@ def cmd_converge(args) -> int:
     probe = parse_probe(args.probe)
     params = args.param or list(MODEL_PARAMS[args.model])
     n_cuts = [int(n) for n in args.ncuts.split(",")]
-    truncation_ladder(model, n_cuts)  # validates ordering/cutoffs
+    if any(b <= a for a, b in zip(n_cuts, n_cuts[1:])):
+        raise ValueError(f"n_cuts must be strictly increasing, got {n_cuts}")
     rows = []
     previous: dict[str, float] = {}
     for n in n_cuts:
@@ -302,7 +303,7 @@ def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
     """QFI(delta) from a central difference of the Floquet propagator
     `evolve` (the reports themselves differentiate exactly), plus a 5-point
     local standard deviation per delta."""
-    x0 = model.params[param]
+    x0, psi = _param_value(model, param), _as_probe(probe, model.levels)
 
     def u_at(x):
         spectrum = diagonalize(build_floquet_matrix(
@@ -310,7 +311,7 @@ def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
         spectrum.physical_modes()  # TruncationError on an under-truncated point
         return evolve(spectrum, t).u_matrix
 
-    u0_dag, psi = u_at(x0).conj().T, np.asarray(probe, dtype=complex)
+    u0_dag = u_at(x0).conj().T
     h = np.array([1j * u0_dag @ (u_at(x0 + d) - u_at(x0 - d)) / (2 * d)
                   for d in deltas])
     values = _gram(0.5 * (h + h.conj().swapaxes(1, 2))[:, None], psi)[1][:, 0, 0]

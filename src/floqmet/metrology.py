@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sambe import PeriodicHamiltonian, build_floquet_matrix
+from .sambe import PeriodicHamiltonian, _check_times, _param_value, build_floquet_matrix
 from .spectral import diagonalize
 
 DEFAULT_N_CUT = 50
@@ -162,9 +162,7 @@ def _replica_couplings(model: PeriodicHamiltonian, phi: np.ndarray, params,
     harmonics = np.arange(-model.max_harmonic, model.max_harmonic + 1)
     out = []
     for p in params:
-        if p not in model.params:
-            raise KeyError(f"parameter {p!r} not in model params")
-        x = model.params[p]
+        x = _param_value(model, p)
         step = 0.5 * (abs(x) or 1.0)
         lo, hi = (model.with_params(**{p: x + s * step}) for s in (-1, 1))
         dm = np.zeros((size, levels, levels), dtype=complex)
@@ -267,6 +265,7 @@ class EstimationSession:
     def _generators(self, times: np.ndarray):
         """U, dU/dx, the Hermitian generators i U^dag dU/dx (T, P, 4, N, N)
         and the Hermiticity defect (T, P) of each total before symmetrizing."""
+        _check_times(times)
         u, du = self._derivatives(times)
         raw = (1j * u.conj().swapaxes(1, 2))[:, None, None] @ du
         raw_dag = raw.conj().swapaxes(-1, -2)
@@ -288,9 +287,6 @@ class EstimationSession:
         times = np.asarray(times, dtype=float).reshape(-1)
         if not times.size:
             raise ValueError("evaluate needs at least one time")
-        bad = times[~(np.isfinite(times) & (times >= 0))]
-        if bad.size:
-            raise ValueError(f"t={float(bad[0])!r} must be finite and non-negative")
         out = []
         for start in range(0, len(times), TIME_BLOCK):
             block = times[start:start + TIME_BLOCK]
@@ -319,14 +315,13 @@ class EstimationSession:
         """CFI of the projective measurement in the bare level basis (for two
         levels, the two outcomes {|1><1|, 1 - |1><1|}); t must be a positive
         multiple of the drive period 2 pi / omega unless stroboscopic=False."""
+        _check_times(t)
         i = self._index(param)
-        if stroboscopic:
-            t0 = self.model.period
-            cycles = t / t0
-            if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
-                raise ValueError(
-                    f"t={t:.6g} is not a positive multiple of the drive period "
-                    f"{t0:.6g}; use stroboscopic=False for general-t CFI")
+        cycles = t / self.model.period
+        if stroboscopic and (abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1):
+            raise ValueError(
+                f"t={t:.6g} is not a positive multiple of the drive period "
+                f"{self.model.period:.6g}; use stroboscopic=False for general-t CFI")
         return float(self.evaluate(probe, [t]).cfi[0, i])
 
 

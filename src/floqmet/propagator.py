@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sambe import _check_times
 from .spectral import DEFECT_TOL, FloquetSpectrum
 
 
@@ -24,6 +25,7 @@ class PropagatorSample:
 
 def _sideband_amplitudes(spectrum: FloquetSpectrum, t: float) -> np.ndarray:
     """C_k(t)[gamma, beta] = <gamma,k|exp(-i H_F t)|beta,0>."""
+    _check_times(t)
     phases = np.exp(-1j * spectrum.eigenvalues * t)
     view = spectrum.sector_view()                      # [k, gamma, alpha]
     inp = view[spectrum.n_cut].conj()                  # [beta, alpha]
@@ -39,8 +41,6 @@ def evolve(spectrum: FloquetSpectrum, t: float) -> PropagatorSample:
     where all sideband phase factors collapse to unity.  A unitarity defect
     above `DEFECT_TOL` flags (never hides) an insufficient cutoff.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t={float(t)!r} must be finite and non-negative")
     ck = _sideband_amplitudes(spectrum, t)
     k = np.arange(-spectrum.n_cut, spectrum.n_cut + 1)
     u = np.tensordot(np.exp(1j * k * spectrum.omega * t), ck, axes=(0, 0))
@@ -80,8 +80,7 @@ def averaged_probability_shirley(spectrum: FloquetSpectrum, t: float,
     Averaging kills the cross-sector hybridization while the coherence
     between eigenvalues in the same sector survives.
     """
-    ck = _sideband_amplitudes(spectrum, t)[:, gamma, beta]
-    return float(np.sum(np.abs(ck) ** 2))
+    return transition_probability(spectrum, t, beta, gamma).sideband_sum
 
 
 def averaged_probability_longtime(spectrum: FloquetSpectrum,

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sambe import PeriodicHamiltonian
+from .sambe import PeriodicHamiltonian, _check_times, _param_value
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def propagate_direct(h_of_t: Callable[[np.ndarray], np.ndarray], t: float,
     its step matrices at once and multiplies them by a pairwise product tree,
     on step-last (N, N, steps) copies of the stacks.
     """
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t={float(t)!r} must be finite and non-negative")
+    _check_times(t)
     dim = _hamiltonians(h_of_t, np.zeros(1)).shape[-1]
     u = np.eye(dim, dtype=complex)
     if t == 0:
@@ -127,7 +126,7 @@ def generator_direct(model: PeriodicHamiltonian, param: str, t: float,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    x0 = model.params[param]
+    x0 = _param_value(model, param)
     u_plus = propagate_direct(model.with_params(**{param: x0 + delta}).h_at, t, cfg)
     u_minus = propagate_direct(model.with_params(**{param: x0 - delta}).h_at, t, cfg)
     u0 = propagate_direct(model.h_at, t, cfg)

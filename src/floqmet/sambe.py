@@ -19,6 +19,14 @@ class FloquetBuildError(ValueError):
     """Raised when a Floquet matrix cannot be assembled as requested."""
 
 
+def _check_times(times) -> None:
+    """Raise a ValueError naming the first of `times` that is negative or not finite."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    bad = times[~(np.isfinite(times) & (times >= 0))]
+    if bad.size:
+        raise ValueError(f"t={float(bad[0])!r} must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class PeriodicHamiltonian:
     """An N-level time-periodic Hamiltonian specified by Fourier components.
@@ -71,9 +79,8 @@ class PeriodicHamiltonian:
         Shifting "omega" also moves the drive frequency, so the k*omega
         ladder of a rebuilt Floquet matrix follows the shift.
         """
-        unknown = set(overrides) - set(self.params)
-        if unknown:
-            raise KeyError(f"unknown parameters {sorted(unknown)}")
+        for name in overrides:
+            _param_value(self, name)  # a KeyError names an unknown one
         params = dict(self.params)
         params.update(overrides)
         return PeriodicHamiltonian(
@@ -90,6 +97,13 @@ class PeriodicHamiltonian:
             if defect > HERMITICITY_TOL:
                 raise FloquetBuildError(
                     f"Fourier set is not Hermitian: |H(-{n}) - H({n})^dag| = {defect:.3e}")
+
+
+def _param_value(model: PeriodicHamiltonian, name: str) -> float:
+    """model.params[name], with a KeyError naming an unknown parameter."""
+    if name not in model.params:
+        raise KeyError(f"parameter {name!r} not in model params")
+    return model.params[name]
 
 
 @dataclass
@@ -197,11 +211,3 @@ def periodic_hamiltonian_from_timedomain(
         fourier_component=fourier_component,
         max_harmonic=max_harmonic,
     )
-
-
-def truncation_ladder(model: PeriodicHamiltonian, n_cuts) -> list[FloquetMatrix]:
-    """Build one matrix per cutoff for downstream convergence studies."""
-    n_cuts = list(n_cuts)
-    if any(b <= a for a, b in zip(n_cuts, n_cuts[1:])):
-        raise ValueError(f"n_cuts must be strictly increasing, got {n_cuts}")
-    return [build_floquet_matrix(model, n) for n in n_cuts]

@@ -27,6 +27,16 @@ def test_tracer_hooks_resolve_and_uninstall_restores():
     try:
         assert metrology.qfi is not qfi
         assert metrology.EstimationSession.__init__ is not init
+        # one traced call per hooked layer, so a changed signature fails here
+        tracer.op = 0
+        model = floqmet.RashbaModel(0.5, 0.5, 1.0)
+        reference.propagate_direct(model.h_at, 1.0, reference.OracleConfig(4))
+        ham = model.hamiltonian()
+        propagator.evolve(spectral.diagonalize(sambe.build_floquet_matrix(ham, 6)), 1.0)
+        metrology.estimation_report(ham, ["b0"], 0, 1.0, n_cut=6)
+        metrics = tracer.layer_metrics([1.0])
+        assert metrics["reference.propagate_direct_s"] > 0
+        assert metrics["metrology.report_s"] > 0
     finally:
         tracer.uninstall()
     for owner, saved in zip(owners, before):

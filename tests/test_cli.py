@@ -396,6 +396,30 @@ def test_bad_times_are_row_errors(argv, code, error, tmp_path):
     assert rows and all(row["error"].startswith(error) for row in rows)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["converge", "--ncuts", "20,10"], "n_cuts must be strictly increasing, got [20, 10]"),
+    (["converge", "--ncuts", "10,8"], "n_cuts must be strictly increasing, got [10, 8]"),
+    (["converge", "--ncuts", "8,8"], "n_cuts must be strictly increasing, got [8, 8]"),
+    (["converge", "--ncuts", "0,8"], "n_cut=0 would drop couplings"),
+    (["stepsize", "--param", "b9"], "parameter 'b9' not in model params"),
+    (["stepsize", "--param", "b0", "--probe", "1,0,0"],
+     "is not a state vector for levels=2"),
+], ids=["converge-20,10", "converge-10,8", "converge-8,8", "converge-0,8",
+        "stepsize-b9", "stepsize-3-amplitudes"])
+def test_bad_inputs_are_named(argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "diagonalize", None)  # stepsize builds no spectrum first
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_stepsize_study_rejects_unnormalized_probe():
+    model = cli.make_model("rashba", {"b0": 0.5, "b1": 0.5, "omega": 1.0})
+    with pytest.raises(ValueError, match="probe state is not normalized"):
+        cli.stepsize_study(model, "b0", np.array([1.0, 1.0]), 2 * math.pi,
+                           [1e-6, 1e-3], 10)
+
+
 def test_converge_reports_under_truncation(capsys):
     assert exit_code(["converge", "--b0", "5", "--b1", "5", "--ncuts", "8,10",
                       "--param", "b0"]) == 2

@@ -5,15 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from floqmet import metrology, propagator, spectral
+from floqmet import metrology, propagator, reference, spectral
 from floqmet.metrology import (TIME_BLOCK, EstimationSession, GeneratorSet,
                                InvariantViolation, estimation_report,
                                incompatibility, local_mean, qfi)
 from floqmet.models import (SIGMA_X, SIGMA_Y, SIGMA_Z, RashbaModel,
                             RotatingFieldModel, rotating_generator_analytic,
                             rotating_incompatibility_analytic)
-from floqmet.reference import OracleConfig, generator_direct
-from floqmet.propagator import evolve
+from floqmet.reference import OracleConfig, generator_direct, propagate_direct
+from floqmet.propagator import (averaged_probability_shirley, evolve,
+                                transition_probability)
 from floqmet.sambe import PeriodicHamiltonian, build_floquet_matrix
 from floqmet.spectral import TruncationError, amplitude_table, diagonalize
 
@@ -533,10 +534,48 @@ def test_cfi_drops_vanishing_outcomes_with_a_warning():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_negative_or_non_finite_time_is_named(bad):
+    # the bad time sits in the second block of TIME_BLOCK times
     session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0"],
                                 n_cut=10)
     with pytest.raises(ValueError, match=f"^t={bad!r} must be finite and non-negative"):
-        session.evaluate(PROBE, [PERIOD, bad])
+        session.evaluate(PROBE, [PERIOD] * TIME_BLOCK + [bad])
+
+
+@pytest.fixture(scope="module")
+def b0_session():
+    return EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0"],
+                             n_cut=10)
+
+
+TIME_ENTRY_POINTS = {
+    "evolve": lambda s, t: evolve(s.center, t),
+    "transition_probability": lambda s, t: transition_probability(s.center, t, 0, 1),
+    "averaged_probability_shirley":
+        lambda s, t: averaged_probability_shirley(s.center, t, 0, 1),
+    "propagate_direct": lambda s, t: propagate_direct(s.model.h_at, t),
+    "generator_direct": lambda s, t: generator_direct(s.model, "b0", t),
+    "evaluate": lambda s, t: s.evaluate(PROBE, [t]),
+    "estimation_report":
+        lambda s, t: estimation_report(s.model, ["b0"], PROBE, t, session=s),
+    "generator_set": lambda s, t: s.generator_set("b0", t),
+    "cfi-stroboscopic": lambda s, t: s.cfi("b0", t, PROBE),
+    "cfi-general-t": lambda s, t: s.cfi("b0", t, PROBE, stroboscopic=False),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_every_time_entry_point_rejects_bad_times(entry, bad, b0_session,
+                                                  monkeypatch):
+    def work(*_args, **_kwargs):
+        raise AssertionError("work started before the time was checked")
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (reference, "_hamiltonians"),
+                        (EstimationSession, "_derivatives")):
+        monkeypatch.setattr(owner, name, work)
+    with pytest.raises(ValueError, match=f"^t={bad!r} must be finite and non-negative$"):
+        TIME_ENTRY_POINTS[entry](b0_session, bad)
 
 
 @pytest.mark.filterwarnings("ignore:generator Hermiticity defect")

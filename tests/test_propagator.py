@@ -105,9 +105,3 @@ def test_longtime_static_ground_weight():
     spectrum = spectrum_for(0.0, 1.0, n_cut=4)
     assert averaged_probability_longtime(spectrum, 0, 0) == pytest.approx(
         0.5, abs=1e-10)  # |0> splits evenly over the sigma_x eigenmodes
-
-
-def test_negative_time_rejected():
-    for t in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"^t={t!r} must be finite"):
-            evolve(spectrum_for(0.5, 0.5, n_cut=2), t)

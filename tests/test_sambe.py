@@ -8,8 +8,7 @@ from floqmet.models import SIGMA_X, SIGMA_Y, RashbaModel, RotatingFieldModel
 from floqmet.sambe import (FloquetBuildError, PeriodicHamiltonian,
                            build_floquet_matrix,
                            fourier_components_from_timedomain,
-                           periodic_hamiltonian_from_timedomain,
-                           truncation_ladder)
+                           periodic_hamiltonian_from_timedomain)
 
 
 def static_model(h0, omega=1.0):
@@ -132,12 +131,10 @@ def test_timedomain_wrapper_matches_direct():
 
 def test_truncation_ladder_dims():
     toy = RashbaModel(0.5, 0.5, 1.0).hamiltonian()
-    dims = [m.dim for m in truncation_ladder(toy, [1, 2])]
+    dims = [build_floquet_matrix(toy, n).dim for n in (1, 2)]
     assert dims == [6, 10]
     static = static_model(SIGMA_X)
-    assert truncation_ladder(static, [0])[0].dim == 2
-    with pytest.raises(ValueError):
-        truncation_ladder(toy, [2, 2])
+    assert build_floquet_matrix(static, 0).dim == 2
 
 
 def test_build_rejects_small_cutoff():
@@ -172,5 +169,5 @@ def test_with_params_moves_drive_frequency():
     top = matrix.data.reshape(5, 2, 5, 2)[4, :, 4]  # the k = m = 2 block
     np.testing.assert_allclose(np.diag(top).real, 2 * 1.2,
                                atol=1e-14)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="'nope' not in model params"):
         ham.with_params(nope=1.0)
