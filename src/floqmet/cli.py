@@ -308,7 +308,6 @@ def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
     def u_at(x):
         spectrum = diagonalize(build_floquet_matrix(
             model.with_params(**{param: x}), n_cut))
-        spectrum.physical_modes()  # TruncationError on an under-truncated point
         return evolve(spectrum, t).u_matrix
 
     u0_dag = u_at(x0).conj().T
@@ -360,7 +359,6 @@ def cmd_phase(args) -> int:
 def cmd_oracle_check(args) -> int:
     model = _physical_model(args.model, _model_values(args))
     spectrum = diagonalize(build_floquet_matrix(model.hamiltonian(), args.ncut))
-    spectrum.physical_modes()  # TruncationError before any integration
     cfg = OracleConfig(step_count=args.steps, scheme=args.scheme)
     rows = []
     for t in _times(args):
@@ -548,7 +546,9 @@ def main(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

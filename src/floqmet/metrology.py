@@ -3,13 +3,13 @@ matrix, QFI upper bounds, CFI and incompatibility, from one diagonalization
 of the Sambe matrix M.  Generators are initial-frame, h = i U^dag dU/dx,
 whose probe variances are the QFI of the evolved states.
 
-The N physical modes (phi_a, eps_a) of M (`FloquetSpectrum.physical_modes`)
-give U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag, u_a(t) = sum_k phi_{a,k}
-e^{ikwt}; every other eigenvector is a replica s_m phi_a, shifted by m
-sectors, at eps_a + m w (Sambe, PRA 7, 2203 (1973)).  U = R_t e^{-iMt} I_0,
-with I_0 injecting into sector 0 and R_t = sum_k e^{ikwt} <k| reading out.
-The Daleckii-Krein form of d e^{-iMt}/dx in the replica basis folds back to
-the N modes, as dM/dx is block-Toeplitz up to the ladder:
+The N physical modes (phi_a, eps_a) of M (`FloquetSpectrum.modes`, certified
+when the spectrum is built) give U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag,
+u_a(t) = sum_k phi_{a,k} e^{ikwt}; every other eigenvector is a replica s_m
+phi_a, shifted by m sectors, at eps_a + m w (Sambe, PRA 7, 2203 (1973)).
+U = R_t e^{-iMt} I_0, with I_0 injecting into sector 0 and R_t = sum_k e^{ikwt}
+<k| reading out.  The Daleckii-Krein form of d e^{-iMt}/dx in the replica
+basis folds back to the N modes, as dM/dx is block-Toeplitz up to the ladder:
 
     dU/dx = sum_{a,b,j} u_a(t) W^(j)_ab F^(j)_ab u_b(0)^dag + L
     W^(j)_ab = <phi_a| dM/dx |s_j phi_b>,  dM/dx = Sambe matrix of dH^(n)/dx
@@ -146,33 +146,54 @@ def local_mean(values, window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
     return np.convolve(values, kernel, mode="same") / norm
 
 
-def _replica_couplings(model: PeriodicHamiltonian, phi: np.ndarray, params,
-                       shifts: np.ndarray) -> np.ndarray:
-    """W[p, j, a, b] = <phi_a| dM/dx_p |s_j phi_b> for every j in `shifts`.
-
-    dM/dx convolves the Fourier index with dH^(n)/dx (plus diag(k) for x =
-    omega), so W is a correlation over k: zero-padded to L = len(shifts),
-    shift j sits at index -j mod L of the inverse FFT.  dH^(n)/dx is a central
-    difference with step |x| / 2 (1/2 at x = 0), which keeps omega positive
-    and is exact up to roundoff for components at most quadratic in x.
+def _drive_derivatives(model: PeriodicHamiltonian, params) -> np.ndarray:
+    """dH^(n)/dx_p as (P, 2 max_harmonic + 1, N, N), n ascending from
+    -max_harmonic: a central difference with step |x| / 2 (1/2 at x = 0),
+    which keeps omega positive and is exact up to roundoff for components at
+    most quadratic in x.  A ValueError names a parameter whose difference
+    with step |x| / 4 disagrees beyond roundoff; a KeyError an unknown one.
     """
-    size, levels = len(shifts), phi.shape[1]
-    k = np.arange(len(phi))[:, None, None] - (len(phi) - 1) // 2
-    phi_hat = np.fft.fft(phi, size, axis=0)              # [f, level, mode]
-    harmonics = np.arange(-model.max_harmonic, model.max_harmonic + 1)
+    harmonics = range(-model.max_harmonic, model.max_harmonic + 1)
     out = []
     for p in params:
         x = _param_value(model, p)
-        step = 0.5 * (abs(x) or 1.0)
-        lo, hi = (model.with_params(**{p: x + s * step}) for s in (-1, 1))
+        diffs = []
+        for step in (0.5 * (abs(x) or 1.0), 0.25 * (abs(x) or 1.0)):
+            lo, hi = (model.with_params(**{p: x + s * step}) for s in (-1, 1))
+            pairs = np.array([(hi.component(n), lo.component(n)) for n in harmonics])
+            diffs.append((pairs[:, 0] - pairs[:, 1]) / (2 * step))
+        gap = np.abs(diffs[0] - diffs[1]).max()
+        if gap > 1e-12 * np.abs(pairs).max() / step:  # roundoff: eps max|H| / step
+            raise ValueError(
+                f"dH/d{p} is not exact: central differences with steps "
+                f"{2 * step:.6g} and {step:.6g} differ by {gap:.2e}; the Fourier "
+                f"components must be at most quadratic in {p!r}")
+        out.append(diffs[0])
+    return np.array(out).reshape((len(out), len(harmonics)) + (model.levels,) * 2)
+
+
+def _replica_couplings(phi: np.ndarray, k: np.ndarray, d_h: np.ndarray,
+                       params, shifts: np.ndarray) -> np.ndarray:
+    """W[p, j, a, b] = <phi_a| dM/dx_p |s_j phi_b> for every j in `shifts`,
+    from the modes phi [k, level, mode] on Fourier axis k and d_h from
+    `_drive_derivatives`.
+
+    dM/dx convolves the Fourier index with dH^(n)/dx (plus diag(k) for x =
+    omega), so W is a correlation over k: zero-padded to L = len(shifts),
+    shift j sits at index -j mod L of the inverse FFT.
+    """
+    size, levels = len(shifts), phi.shape[1]
+    phi_hat = np.fft.fft(phi, size, axis=0)              # [f, level, mode]
+    reach = d_h.shape[1] // 2
+    out = []
+    for p, d in zip(params, d_h):
         dm = np.zeros((size, levels, levels), dtype=complex)
-        dm[harmonics % size] = [(hi.component(n) - lo.component(n)) / (2 * step)
-                                for n in harmonics]
+        dm[np.arange(-reach, reach + 1) % size] = d
         coupling = np.einsum("fga,fgd,fdb->fab", phi_hat.conj(),
                              np.fft.fft(dm, axis=0), phi_hat)
         if p == "omega":
-            coupling += np.einsum("fga,fgb->fab",
-                                  np.fft.fft(k * phi, size, axis=0).conj(), phi_hat)
+            coupling += np.einsum("fga,fgb->fab", np.fft.fft(
+                k[:, None, None] * phi, size, axis=0).conj(), phi_hat)
         out.append(np.fft.ifft(coupling, axis=0)[-shifts % size])
     return np.array(out).reshape(len(params), size, phi.shape[2], phi.shape[2])
 
@@ -184,8 +205,6 @@ class GridEvaluation:
     times: np.ndarray
     probe: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)           # (T, N, N)
-    generators: np.ndarray = field(repr=False)  # (T, P, 4, N, N): total, 3 parts
-    gram: np.ndarray = field(repr=False)        # (T, 4P, 4P) over the generators
     qfi: np.ndarray = field(repr=False)         # (T, P, 5): total, 3 parts, coherence
     qfim: np.ndarray = field(repr=False)        # (T, P, P)
     omega: np.ndarray = field(repr=False)       # (T, P, P)
@@ -203,17 +222,16 @@ class EstimationSession:
         self.model = model
         self.params = list(params)
         self.n_cut = n_cut
+        d_h = _drive_derivatives(model, self.params)    # before any Sambe work
         self.center = diagonalize(build_floquet_matrix(model, n_cut))
-        modes = self.center.physical_modes()
+        modes, self._k = self.center.modes, self.center.k
         self.quasienergies = self.center.eigenvalues[modes]
-        self._k = np.arange(-n_cut, n_cut + 1)
         self._phi = self.center.sector_view()[:, :, modes]    # [k, level, mode]
         self._u0_dag = self._phi.sum(axis=0).conj().T
         self._ku0_dag = np.tensordot(self._k, self._phi, axes=(0, 0)).conj().T
         reach = 2 * n_cut + model.max_harmonic
         shifts = np.arange(-reach, reach + 1)
-        couplings = _replica_couplings(model, self._phi, self.params,
-                                       shifts)
+        couplings = _replica_couplings(self._phi, self._k, d_h, self.params, shifts)
         self._d_eps = np.diagonal(couplings[:, reach], axis1=1, axis2=2)
         m = self._phi.shape[2]
         self._ikw, self._ieps = 1j * self._k * model.omega, -1j * self.quasienergies
@@ -291,8 +309,8 @@ class EstimationSession:
         for start in range(0, len(times), TIME_BLOCK):
             block = times[start:start + TIME_BLOCK]
             u, du, h, defects = self._generators(block)
-            gram, fisher, omega = _gram(h.reshape((len(block), -1) + u.shape[1:]), psi)
-            out.append((u, h, gram, _qfi_parts(fisher, len(self.params)),
+            _, fisher, omega = _gram(h.reshape((len(block), -1) + u.shape[1:]), psi)
+            out.append((u, _qfi_parts(fisher, len(self.params)),
                         fisher[:, ::4, ::4], omega[:, ::4, ::4],
                         _bounds(h[:, :, 0]), _cfi(u, du[:, :, 0], psi), defects))
         result = GridEvaluation(times, psi, *(out[0] if len(out) == 1 else

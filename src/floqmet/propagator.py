@@ -19,31 +19,23 @@ class PropagatorSample:
 
     @property
     def flagged(self) -> bool:
-        """True when the unitarity defect signals insufficient truncation."""
+        """True when the unitarity defect of U exceeds DEFECT_TOL."""
         return self.truncation_defect > DEFECT_TOL
 
 
-def _sideband_amplitudes(spectrum: FloquetSpectrum, t: float) -> np.ndarray:
-    """C_k(t)[gamma, beta] = <gamma,k|exp(-i H_F t)|beta,0>."""
-    _check_times(t)
-    phases = np.exp(-1j * spectrum.eigenvalues * t)
-    view = spectrum.sector_view()                      # [k, gamma, alpha]
-    inp = view[spectrum.n_cut].conj()                  # [beta, alpha]
-    # (dim, N) = (D * phases) @ D_in^dagger, reshaped per sector
-    flat = (spectrum.eigenvectors * phases[None, :]) @ inp.T
-    return flat.reshape(spectrum.n_sectors, spectrum.levels, spectrum.levels)
-
-
 def evolve(spectrum: FloquetSpectrum, t: float) -> PropagatorSample:
-    """Reconstruct U(t)[gamma, beta] = sum_{alpha,k} B e^{-i lam t} e^{i k w t}.
+    """U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag over the N physical
+    modes, u_a(t) = sum_k phi_{a,k} e^{ikwt}.
 
-    Valid at arbitrary t; stroboscopic times t = l T are the special case
-    where all sideband phase factors collapse to unity.  A unitarity defect
-    above `DEFECT_TOL` flags (never hides) an insufficient cutoff.
+    Valid at arbitrary t; at stroboscopic times t = l T the sideband phases
+    collapse to unity.  The unitarity defect is kept as health data; the
+    spectrum's construction has already refused an insufficient cutoff.
     """
-    ck = _sideband_amplitudes(spectrum, t)
-    k = np.arange(-spectrum.n_cut, spectrum.n_cut + 1)
-    u = np.tensordot(np.exp(1j * k * spectrum.omega * t), ck, axes=(0, 0))
+    _check_times(t)
+    phi = spectrum.sector_view()[:, :, spectrum.modes]     # [k, level, mode]
+    u_t = np.exp(1j * spectrum.k * spectrum.omega * t) @ phi.reshape(len(phi), -1)
+    g = np.exp(-1j * spectrum.eigenvalues[spectrum.modes] * t)
+    u = (u_t.reshape(phi.shape[1:]) * g) @ phi.sum(axis=0).conj().T
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(spectrum.levels))))
     return PropagatorSample(time=t, u_matrix=u, truncation_defect=defect)
 
@@ -59,14 +51,22 @@ class TransitionProbability:
 
 def transition_probability(spectrum: FloquetSpectrum, t: float,
                            beta: int, gamma: int) -> TransitionProbability:
-    """P_{beta gamma}(t) = |<gamma|U(t)|beta>|^2, with its decomposition.
+    """P_{beta gamma}(t) = |sum_k C_k(t) e^{ikwt}|^2, with its decomposition.
 
-    The same-sector term sum_k |C_k|^2 and the sideband-interference
-    remainder are exported separately for diagnostics.
+    C_k(t) = <gamma,k|e^{-iMt}|beta,0> sums the replicas s_m phi_a (the mode
+    shifted by m sectors, at eps_a + m w) of the N physical modes: the
+    convolution sum_{a,m} phi_{a,k-m,gamma} phi*_{a,-m,beta} e^{-i(eps_a+mw)t},
+    k from -2 n_cut to 2 n_cut.  The same-sector term sum_k |C_k|^2 and the
+    sideband-interference remainder are exported separately for diagnostics.
     """
-    ck = _sideband_amplitudes(spectrum, t)[:, gamma, beta]
-    k = np.arange(-spectrum.n_cut, spectrum.n_cut + 1)
-    amp = np.sum(ck * np.exp(1j * k * spectrum.omega * t))
+    _check_times(t)
+    phi = spectrum.sector_view()[:, :, spectrum.modes]     # [k, level, mode]
+    phase = np.exp(1j * spectrum.k * spectrum.omega * t)
+    g = np.exp(-1j * spectrum.eigenvalues[spectrum.modes] * t)
+    inp = phi[::-1, beta].conj() * phase.conj()[:, None]   # [m, mode]
+    ck = sum(g[a] * np.convolve(inp[:, a], phi[:, gamma, a]) for a in range(len(g)))
+    # sum_k C_k e^{ikwt} factors into sum_a e^{-i eps_a t} u_a(t) u_a(0)^*
+    amp = np.sum(g * (phase @ phi[:, gamma]) * phi[:, beta].sum(axis=0).conj())
     total = float(np.abs(amp) ** 2)
     same = float(np.sum(np.abs(ck) ** 2))
     return TransitionProbability(total=total, sideband_sum=same,
@@ -85,8 +85,8 @@ def averaged_probability_shirley(spectrum: FloquetSpectrum, t: float,
 
 def averaged_probability_longtime(spectrum: FloquetSpectrum,
                                   beta: int, gamma: int) -> float:
-    """Long-time average P^(2) = sum_{alpha,k} |B_{alpha k}|^2 (resonances only)."""
-    view = spectrum.sector_view()
-    out_w = np.sum(np.abs(view[:, gamma, :]) ** 2, axis=0)    # over k, per alpha
-    in_w = np.abs(view[spectrum.n_cut, beta, :]) ** 2
-    return float(np.sum(out_w * in_w))
+    """Long-time average P^(2) = sum_a w_{a gamma} w_{a beta} (resonances
+    only), w_{ag} = sum_k |phi_{a,k,g}|^2: the sum of |<gamma,k|lam><lam|beta,0>|^2
+    over every replica lam of the N physical modes."""
+    w = np.sum(np.abs(spectrum.sector_view()[:, :, spectrum.modes]) ** 2, axis=0)
+    return float(np.sum(w[gamma] * w[beta]))

@@ -34,13 +34,16 @@ def fold_to_fbz(lambdas, omega: float):
     return folded if folded.ndim else float(folded)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FloquetSpectrum:
-    """Eigen-decomposition of a truncated Floquet matrix.
+    """Eigen-decomposition of a truncated Floquet matrix, certified when built.
 
-    `eigenvectors` columns are the Sambe-space eigenstates, sorted by
-    ascending eigenvalue.  Immutable after construction by convention;
-    shared freely across threads/processes.
+    `eigenvectors` columns are the Sambe eigenstates by ascending eigenvalue;
+    `k` is the Fourier axis of `sector_view`.  `modes` picks the N physical
+    Floquet modes: of those with mean Fourier index sum_k k |phi_k|^2 in
+    (-1/2, 1/2] (one replica per branch), the N with the lowest edge weight;
+    `TruncationError` when fewer qualify or their u_a(0) = sum_k phi_{a,k}
+    are not orthonormal within DEFECT_TOL.  Immutable, so shared freely.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -48,6 +51,25 @@ class FloquetSpectrum:
     n_cut: int = 0
     levels: int = 2
     omega: float = 1.0
+    modes: np.ndarray = field(init=False, repr=False)
+    k: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        view = self.sector_view()
+        k = np.arange(-self.n_cut, self.n_cut + 1)
+        mean_k = np.einsum("k,kgm->m", k, np.abs(view) ** 2)
+        qualify = np.nonzero((mean_k > -0.5) & (mean_k <= 0.5))[0]
+        by_edge = np.argsort(self.edge_weights()[qualify], kind="stable")
+        modes = np.sort(qualify[by_edge[:self.levels]])
+        u0 = view[:, :, modes].sum(axis=0)
+        defect = np.max(np.abs(u0.conj().T @ u0 - np.eye(modes.size)), initial=0)
+        if modes.size < self.levels or defect > DEFECT_TOL:
+            raise TruncationError(
+                f"n_cut={self.n_cut} is too small: {modes.size} of {self.levels} "
+                f"physical Floquet modes, orthonormality defect {defect:.2e} "
+                f"(limit {DEFECT_TOL}); increase n_cut")
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "k", k)
 
     @property
     def dim(self) -> int:
@@ -71,40 +93,21 @@ class FloquetSpectrum:
         outer = np.abs(view[0]) ** 2 + np.abs(view[-1]) ** 2
         return outer.sum(axis=0)
 
-    def physical_modes(self) -> np.ndarray:
-        """The N physical Floquet modes: of the modes whose mean Fourier index
-        sum_k k |phi_k|^2 lies in (-1/2, 1/2] (one replica per branch), the N
-        with the lowest edge weight.  `TruncationError` when fewer qualify or
-        their u_a(0) = sum_k phi_{a,k} are not orthonormal within DEFECT_TOL."""
-        view = self.sector_view()
-        k = np.arange(-self.n_cut, self.n_cut + 1)
-        mean_k = np.einsum("k,kgm->m", k, np.abs(view) ** 2)
-        qualify = np.nonzero((mean_k > -0.5) & (mean_k <= 0.5))[0]
-        by_edge = np.argsort(self.edge_weights()[qualify], kind="stable")
-        modes = np.sort(qualify[by_edge[:self.levels]])
-        u0 = view[:, :, modes].sum(axis=0)
-        defect = np.max(np.abs(u0.conj().T @ u0 - np.eye(modes.size)), initial=0)
-        if modes.size < self.levels or defect > DEFECT_TOL:
-            raise TruncationError(
-                f"n_cut={self.n_cut} is too small: {modes.size} of {self.levels} "
-                f"physical Floquet modes, orthonormality defect {defect:.2e} "
-                f"(limit {DEFECT_TOL}); increase n_cut")
-        return modes
-
     def folded_gap(self) -> float:
         """Minimal FBZ (circular) spacing of the physical quasienergy branches.
 
         The full Sambe spectrum replicates each branch in every Fourier
         sector, so the spacing is taken between one representative per level.
         """
-        folded = np.sort(self.folded[self.physical_modes()])
+        folded = np.sort(self.folded[self.modes])
         gaps = np.diff(folded)
         wrap = folded[0] + self.omega - folded[-1]
         return float(min(gaps.min(), wrap))
 
 
 def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
-    """Exact diagonalization of the (Hermitian) truncated Floquet matrix.
+    """Exact diagonalization of the (Hermitian) truncated Floquet matrix;
+    `TruncationError` when its physical modes fail the certificate.
 
     A real symmetric matrix runs the real solver; the eigenvector table is
     complex either way, so the metrology matmuls stay in one dtype.
@@ -153,5 +156,5 @@ def amplitude_table(spectrum: FloquetSpectrum) -> AmplitudeTable:
     entries = np.einsum("kga,ba->akgb", view, inp)
     return AmplitudeTable(
         entries=entries,
-        k_values=np.arange(-spectrum.n_cut, spectrum.n_cut + 1),
+        k_values=spectrum.k,
     )

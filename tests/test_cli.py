@@ -233,19 +233,11 @@ def test_oracle_check_refuses_under_truncation(monkeypatch, capsys):
         raise AssertionError("integrated an under-truncated point")
 
     monkeypatch.setattr(cli, "propagate_direct", integrate)
-    assert exit_code(["oracle-check", "--b0", "12", "--b1", "12",
-                      "--ncut", "16", "--steps", "64"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "n_cut=16 is too small" in captured.err
-
-
-def test_evolve_flags_under_truncation(tmp_path):
-    out = tmp_path / "evolve.csv"
-    assert main(["evolve", "--b0", "12", "--b1", "12", "--ncut", "16",
-                 "--out", str(out)]) == 0
-    header, row = out.read_text().splitlines()
-    assert dict(zip(header.split(","), row.split(",")))["flagged"] == "1"
+    for argv in (["oracle-check", "--steps", "64"], ["evolve"]):
+        assert exit_code([*argv, "--b0", "12", "--b1", "12", "--ncut", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_cut=16 is too small" in captured.err
 
 
 def test_stepsize_span_guard():
@@ -280,7 +272,7 @@ class ReadRecorder(argparse.Namespace):
 # One representative invocation per subcommand, small enough to run quickly.
 INVOCATIONS = {
     "build": ["--ncut", "4"],
-    "evolve": ["--ncut", "4"],
+    "evolve": ["--ncut", "6"],
     "qfi": ["--ncut", "6"],
     "scan": ["--sweep", "b0=0.4:0.6:2", "--ncut", "6"],
     "scaling": ["--param", "b0", "--ncut", "6", "--t-grid", "0.5:2:8"],
@@ -400,17 +392,24 @@ def test_bad_times_are_row_errors(argv, code, error, tmp_path):
     (["converge", "--ncuts", "20,10"], "n_cuts must be strictly increasing, got [20, 10]"),
     (["converge", "--ncuts", "10,8"], "n_cuts must be strictly increasing, got [10, 8]"),
     (["converge", "--ncuts", "8,8"], "n_cuts must be strictly increasing, got [8, 8]"),
-    (["converge", "--ncuts", "0,8"], "n_cut=0 would drop couplings"),
+    (["converge", "--ncuts", "0,8"], "n_cut=0 would drop couplings up to harmonic 1"),
     (["stepsize", "--param", "b9"], "parameter 'b9' not in model params"),
     (["stepsize", "--param", "b0", "--probe", "1,0,0"],
-     "is not a state vector for levels=2"),
+     "probe array([1.+0.j, 0.+0.j, 0.+0.j]) is not a state vector for levels=2"),
+    (["converge", "--param", "b9", "--ncuts", "200,201"],
+     "parameter 'b9' not in model params"),
+    (["scaling", "--param", "b9", "--ncut", "200", "--t-grid", "0.5:2:8"],
+     "parameter 'b9' not in model params"),
 ], ids=["converge-20,10", "converge-10,8", "converge-8,8", "converge-0,8",
-        "stepsize-b9", "stepsize-3-amplitudes"])
+        "stepsize-b9", "stepsize-3-amplitudes", "converge-b9", "scaling-b9"])
 def test_bad_inputs_are_named(argv, message, capsys, monkeypatch):
+    def eigh(*_args, **_kwargs):
+        raise AssertionError("diagonalized before the input was checked")
+
     monkeypatch.setattr(cli, "diagonalize", None)  # stepsize builds no spectrum first
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert exit_code(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_stepsize_study_rejects_unnormalized_probe():

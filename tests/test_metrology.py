@@ -312,13 +312,74 @@ def test_session_diagonalizes_once(monkeypatch):
     assert sizes == [2 * 41]
 
 
+def test_session_selects_modes_once(monkeypatch):
+    calls = []
+    select = spectral.FloquetSpectrum.__post_init__
+
+    def counting(self):
+        calls.append(self.n_cut)
+        select(self)
+
+    monkeypatch.setattr(spectral.FloquetSpectrum, "__post_init__", counting)
+    session = EstimationSession(RashbaModel(0.7, 0.4, 1.0).hamiltonian(),
+                                ["b0", "b1", "omega"], n_cut=20)
+    session.evaluate(PROBE, [1.3, PERIOD])
+    session.generator_set("b0", PERIOD)
+    assert calls == [20]
+
+
+def test_unknown_parameter_is_named_before_any_sambe_work(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("diagonalized before naming the parameter")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(metrology, "build_floquet_matrix", fail)
+    with pytest.raises(KeyError, match="parameter 'b9' not in model params"):
+        EstimationSession(RashbaModel(0.7, 0.4, 1.0).hamiltonian(), ["b0", "b9"])
+
+
+def cubic_model(a):
+    """H^(0) = a^3 sigma_z, H^(+-1) = 0.3 sigma_x: cubic in a."""
+    def comp(n, params):
+        if n == 0:
+            return params["a"] ** 3 * SIGMA_Z
+        return 0.3 * SIGMA_X if abs(n) == 1 else np.zeros((2, 2))
+
+    return PeriodicHamiltonian(levels=2, omega=1.0, params={"a": a},
+                               fourier_component=comp, max_harmonic=1)
+
+
+def test_nonquadratic_drive_derivative_is_refused(monkeypatch):
+    # the |x|/2 difference reads 3.25 for d(a^3)/da = 3 at a = 1, which made
+    # the session report QFI 462.80 against the oracle's 394.34
+    monkeypatch.setattr(np.linalg, "eigh", None)   # refused before any eigh
+    with pytest.raises(ValueError, match="dH/da is not exact.*quadratic in 'a'"):
+        EstimationSession(cubic_model(1.0), ["a"])
+
+
+def test_rashba_drive_derivatives_are_exact():
+    model = RashbaModel(0.7, 0.4, 1.0).hamiltonian()
+    d_h = metrology._drive_derivatives(model, ["b0", "b1", "omega"])
+    want = np.zeros((3, 3, 2, 2), dtype=complex)       # [param, n + 1]
+    want[0, 0], want[0, 2] = 0.5 * (SIGMA_X + 1j * SIGMA_Y), 0.5 * (SIGMA_X - 1j * SIGMA_Y)
+    want[1, 1] = -SIGMA_X
+    np.testing.assert_allclose(d_h, want, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("b0, b1", [(0.5, 0.5), (2.0, 1.0), (1.0, 3.0),
                                     (5.0, 5.0)])
 def test_reduced_propagator_matches_full_sum(b0, b1):
     session = EstimationSession(RashbaModel(b0, b1, 1.0).hamiltonian(), [])
+    spectrum = session.center
+    view = spectrum.sector_view()                       # [k, level, alpha]
     for t in (1.3, PERIOD, 2 * PERIOD, 20.0):
-        np.testing.assert_allclose(session.evaluate(PROBE, [t]).u[0],
-                                   evolve(session.center, t).u_matrix,
+        # sum over all dim Sambe eigenvectors: <g,k|e^{-iMt}|b,0> e^{ikwt}
+        ck = np.einsum("kga,a,ba->kgb", view, np.exp(-1j * spectrum.eigenvalues * t),
+                       view[spectrum.n_cut].conj())
+        full = np.tensordot(np.exp(1j * spectrum.k * spectrum.omega * t), ck, axes=(0, 0))
+        np.testing.assert_allclose(session.evaluate(PROBE, [t]).u[0], full,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(evolve(spectrum, t).u_matrix, full,
                                    rtol=0, atol=1e-12)
 
 
@@ -348,7 +409,7 @@ def test_stroboscopic_quasienergy_generator(b0, b1):
     # at t = l T: h_quasienergy = l T sum_a (d eps_a / dx) |u_a(0)><u_a(0)|
     model = RashbaModel(b0, b1, 1.0).hamiltonian()
     session = EstimationSession(model, ["b0", "b1"])
-    modes = session.center.physical_modes()
+    modes = session.center.modes
     u0 = session.center.sector_view()[:, :, modes].sum(axis=0)
     projectors = np.einsum("ga,ha->agh", u0, u0.conj())
     # eigenvalue roundoff of order |M| eps ~ 1e-14 limits d_eps to ~1e-9
@@ -358,7 +419,7 @@ def test_stroboscopic_quasienergy_generator(b0, b1):
         for x in (model.params[param] + delta, model.params[param] - delta):
             spectrum = diagonalize(build_floquet_matrix(
                 model.with_params(**{param: x}), session.n_cut))
-            eps.append(spectrum.eigenvalues[spectrum.physical_modes()])
+            eps.append(spectrum.eigenvalues[spectrum.modes])
         d_eps = (eps[0] - eps[1]) / (2 * delta)
         for cycles in (1, 3, 10):
             t = cycles * PERIOD
@@ -453,8 +514,7 @@ def test_grid_times_do_not_depend_on_each_other():
                                 ["b0", "b1", "omega"], n_cut=20)
     times = np.linspace(0.1, 6 * PERIOD, 2 * TIME_BLOCK + 5)  # three blocks
     grid = session.evaluate(PROBE, times)
-    fields = ("u", "generators", "gram", "qfi", "qfim", "omega", "bound", "cfi",
-              "defects")
+    fields = ("u", "qfi", "qfim", "omega", "bound", "cfi", "defects")
     for j, t in enumerate(times):
         alone = session.evaluate(PROBE, [t])
         for name in fields:

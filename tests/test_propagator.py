@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from floqmet.models import RashbaModel
+from floqmet.reference import OracleConfig, propagate_direct
 from floqmet.propagator import (averaged_probability_longtime,
                                 averaged_probability_shirley, evolve,
                                 transition_probability)
@@ -79,18 +80,26 @@ def test_shirley_average_bounds():
 
 def test_shirley_average_matches_time_average():
     # period-average of |sum_k C_k e^{ik w s}|^2 with frozen C_k collapses to
-    # sum_k |C_k|^2 by sideband orthogonality
-    from floqmet.propagator import _sideband_amplitudes
-
-    spectrum = spectrum_for(0.9, 0.4, n_cut=30)
+    # sum_k |C_k|^2 by sideband orthogonality; C_k(t) = <1,k|e^{-iMt}|0,0>
+    # sums the replicas s_m phi_a (mode a shifted by m sectors, at eps_a + m w)
+    n = 30
+    spectrum = spectrum_for(0.9, 0.4, n_cut=n)
     t0, period = 3.0, 2 * math.pi
-    ck = _sideband_amplitudes(spectrum, t0)[:, 1, 0]
-    k = np.arange(-30, 31)
-    phases = np.linspace(0, period, 64, endpoint=False)
+    phi = spectrum.sector_view()[:, :, spectrum.modes]
+    ck = np.zeros(4 * n + 1, dtype=complex)             # k from -2n to 2n
+    for a, eps in enumerate(spectrum.eigenvalues[spectrum.modes]):
+        for m in range(-n, n + 1):
+            ck[n + m:3 * n + m + 1] += (phi[:, 1, a] * phi[n - m, 0, a].conj()
+                                        * np.exp(-1j * (eps + m) * t0))
+    k = np.arange(-2 * n, 2 * n + 1)
+    phases = np.linspace(0, period, 256, endpoint=False)  # no aliasing up to |k| 2n
     quad = np.mean([abs(np.sum(ck * np.exp(1j * k * (t0 + s)))) ** 2
                     for s in phases])
     frozen = averaged_probability_shirley(spectrum, t0, 0, 1)
+    assert frozen == pytest.approx(np.sum(np.abs(ck) ** 2), abs=1e-12)
     assert quad == pytest.approx(frozen, abs=1e-4)
+    direct = transition_probability(spectrum, t0, 0, 1).total
+    assert direct == pytest.approx(abs(np.sum(ck * np.exp(1j * k * t0))) ** 2, abs=1e-12)
 
 
 def test_longtime_average_completeness():
@@ -105,3 +114,14 @@ def test_longtime_static_ground_weight():
     spectrum = spectrum_for(0.0, 1.0, n_cut=4)
     assert averaged_probability_longtime(spectrum, 0, 0) == pytest.approx(
         0.5, abs=1e-10)  # |0> splits evenly over the sigma_x eigenmodes
+
+
+@pytest.mark.parametrize("n_cut, tol", [(50, 1e-8), (29, 1e-5)])
+def test_strong_drive_evolve_matches_oracle(n_cut, tol):
+    # at (10, 10) the truncation edge holds polluted replicas; the N physical
+    # modes alone give U
+    rashba = RashbaModel(10.0, 10.0, 1.0)
+    u = evolve(spectrum_for(10.0, 10.0, n_cut), rashba.period).u_matrix
+    u_d = propagate_direct(rashba.h_at, rashba.period,
+                           OracleConfig(step_count=20000, scheme="rk4"))
+    assert np.max(np.abs(u - u_d)) < tol

@@ -1,4 +1,6 @@
 """Spectrum, folding, and amplitude-table tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ def test_folded_gap_is_branch_spacing():
 
     # two physical branches at +/-eps, symmetric under particle-hole
     s = spec(1.3, 1.0)
-    modes = s.physical_modes()
+    modes = s.modes
     assert modes.size == 2
     folded = s.folded[modes]
     assert folded[0] == pytest.approx(-folded[1], abs=1e-10)
@@ -89,7 +91,7 @@ def test_folded_gap_is_branch_spacing():
     assert s.folded_gap() > 1e-2
     # static limit: quasienergies are the eigenvalues +/-b1 folded into FBZ
     st = spec(0.0, 0.7)
-    np.testing.assert_allclose(np.sort(st.folded[st.physical_modes()]),
+    np.testing.assert_allclose(np.sort(st.folded[st.modes]),
                                [-0.3, 0.3], atol=1e-10)
 
 
@@ -97,7 +99,7 @@ def test_edge_modes_are_flagged_interior_clean():
     spectrum = diagonalize(
         build_floquet_matrix(RashbaModel(2.0, 1.0, 1.0).hamiltonian(), 50))
     edge = spectrum.edge_weights()
-    modes = spectrum.physical_modes()
+    modes = spectrum.modes
     assert modes.size == 2 and np.all(edge[modes] < 1e-8)
     # the truncation edge holds polluted modes; the selector passes them over
     assert np.any(edge > 1e-3)
@@ -111,8 +113,20 @@ def test_too_few_physical_modes_is_a_truncation_error():
     vectors = np.zeros((6, 6), dtype=complex)   # row = 2 * (sector + 1) + level
     vectors[np.ix_([2, 0, 1], [0, 1, 2])] = q
     vectors[np.ix_([3, 4, 5], [3, 4, 5])] = q
-    spectrum = FloquetSpectrum(eigenvalues=np.arange(6.0), eigenvectors=vectors,
-                               n_cut=1, levels=2, omega=1.0)
     with pytest.raises(TruncationError, match="0 of 2 physical Floquet modes"):
-        spectrum.physical_modes()
+        FloquetSpectrum(eigenvalues=np.arange(6.0), eigenvectors=vectors,
+                        n_cut=1, levels=2, omega=1.0)
+
+
+def test_diagonalize_certifies_the_spectrum():
+    matrix = build_floquet_matrix(RashbaModel(12.0, 12.0, 1.0).hamiltonian(), 16)
+    with pytest.raises(TruncationError, match="n_cut=16 is too small"):
+        diagonalize(matrix)
+    spectrum = diagonalize(
+        build_floquet_matrix(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), 7))
+    np.testing.assert_array_equal(spectrum.k, np.arange(-7, 8))
+    assert spectrum.modes.size == 2
+    for name in ("modes", "k", "eigenvectors"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spectrum, name, None)
 
