@@ -233,11 +233,21 @@ def test_oracle_check_refuses_under_truncation(monkeypatch, capsys):
         raise AssertionError("integrated an under-truncated point")
 
     monkeypatch.setattr(cli, "propagate_direct", integrate)
-    for argv in (["oracle-check", "--steps", "64"], ["evolve"]):
-        assert exit_code([*argv, "--b0", "12", "--b1", "12", "--ncut", "16"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "n_cut=16 is too small" in captured.err
+    assert exit_code(["oracle-check", "--steps", "64", "--b0", "12",
+                      "--b1", "12", "--ncut", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_cut=16 is too small" in captured.err
+
+
+def test_evolve_flags_under_truncation(tmp_path, capsys):
+    out = tmp_path / "evolve.csv"
+    assert exit_code(["evolve", "--b0", "12", "--b1", "12", "--ncut", "16",
+                      "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_cut=16 is too small" in captured.err
+    assert not out.exists()
 
 
 def test_stepsize_span_guard():
