@@ -23,7 +23,7 @@ from .metrology import (DEFAULT_N_CUT, DEFAULT_SMOOTH_WINDOW, EstimationSession,
 from .models import RashbaModel, RotatingFieldModel
 from .propagator import evolve
 from .reference import OracleConfig, propagate_direct, unitarity_defect
-from .sambe import _param_value, build_floquet_matrix
+from .sambe import _check_times, _param_value, build_floquet_matrix
 from .spectral import diagonalize
 
 EXIT_OK = 0
@@ -222,12 +222,13 @@ def cmd_build(args) -> int:
 
 def cmd_evolve(args) -> int:
     model = make_model(args.model, _model_values(args))
+    times = _times(args)
+    _check_times(times)
     spectrum = diagonalize(build_floquet_matrix(model, args.ncut))
     rows = []
-    for t in _times(args):
+    for t in times:
         sample = evolve(spectrum, t)
-        row = {"time": t, "truncation_defect": sample.truncation_defect,
-               "flagged": int(sample.flagged)}
+        row = {"time": t, "truncation_defect": sample.truncation_defect}
         for g in range(model.levels):
             for b in range(model.levels):
                 row[f"re_u_{g}{b}"] = float(sample.u_matrix[g, b].real)
@@ -358,10 +359,12 @@ def cmd_phase(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     model = _physical_model(args.model, _model_values(args))
+    times = _times(args)
+    _check_times(times)
     spectrum = diagonalize(build_floquet_matrix(model.hamiltonian(), args.ncut))
     cfg = OracleConfig(step_count=args.steps, scheme=args.scheme)
     rows = []
-    for t in _times(args):
+    for t in times:
         sample = evolve(spectrum, t)
         u_d = propagate_direct(model.h_at, t, cfg)
         rows.append({"time": t,

@@ -3,10 +3,10 @@ matrix, QFI upper bounds, CFI and incompatibility, from one diagonalization
 of the Sambe matrix M.  Generators are initial-frame, h = i U^dag dU/dx,
 whose probe variances are the QFI of the evolved states.
 
-The N physical modes (phi_a, eps_a) of M (`FloquetSpectrum.modes`, certified
-when the spectrum is built) give U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag,
-u_a(t) = sum_k phi_{a,k} e^{ikwt}; every other eigenvector is a replica s_m
-phi_a, shifted by m sectors, at eps_a + m w (Sambe, PRA 7, 2203 (1973)).
+The certified spectrum's N physical modes (`phi`, `quasienergies`, `u0`, read
+by its `modes_at`) give U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag, u_a(t) =
+sum_k phi_{a,k} e^{ikwt}; every other eigenvector of M is a replica s_m phi_a,
+shifted by m sectors, at eps_a + m w (Sambe, PRA 7, 2203 (1973)).
 U = R_t e^{-iMt} I_0, with I_0 injecting into sector 0 and R_t = sum_k e^{ikwt}
 <k| reading out.  The Daleckii-Krein form of d e^{-iMt}/dx in the replica
 basis folds back to the N modes, as dM/dx is block-Toeplitz up to the ladder:
@@ -224,42 +224,30 @@ class EstimationSession:
         self.n_cut = n_cut
         d_h = _drive_derivatives(model, self.params)    # before any Sambe work
         self.center = diagonalize(build_floquet_matrix(model, n_cut))
-        modes, self._k = self.center.modes, self.center.k
-        self.quasienergies = self.center.eigenvalues[modes]
-        self._phi = self.center.sector_view()[:, :, modes]    # [k, level, mode]
-        self._u0_dag = self._phi.sum(axis=0).conj().T
-        self._ku0_dag = np.tensordot(self._k, self._phi, axes=(0, 0)).conj().T
+        phi, k, eps = self.center.phi, self.center.k, self.center.quasienergies
+        self._u0_dag = self.center.u0.conj().T
+        self._ku0_dag = np.tensordot(k, phi, axes=(0, 0)).conj().T
         reach = 2 * n_cut + model.max_harmonic
         shifts = np.arange(-reach, reach + 1)
-        couplings = _replica_couplings(self._phi, self._k, d_h, self.params, shifts)
+        couplings = _replica_couplings(phi, k, d_h, self.params, shifts)
         self._d_eps = np.diagonal(couplings[:, reach], axis1=1, axis2=2)
-        m = self._phi.shape[2]
-        self._ikw, self._ieps = 1j * self._k * model.omega, -1j * self.quasienergies
-        self._k_rows = np.array([np.ones_like(self._k), self._k])
         # F^(j)_ab factors in [a, b, j] layout and W^(j)_ab as [ab, j, p], for
         # the replicas j whose couplings rise above the FFT roundoff eps max|W|
         size = np.abs(couplings).max(axis=(0, 2, 3), initial=0.0)
         shifts = shifts[size > np.finfo(float).eps * size.max()]
         self._half_shift = -0.5j * shifts * model.omega
-        self._half_gap = 0.5 * (self.quasienergies[:, None, None]
-                                - self.quasienergies[:, None] - shifts * model.omega)
+        self._half_gap = 0.5 * (eps[:, None, None] - eps[:, None] - shifts * model.omega)
         self._w = np.ascontiguousarray(couplings[:, shifts + reach].transpose(
-            2, 3, 1, 0).reshape(m * m, len(shifts), len(self.params)))
-
-    def _modes_at(self, times):  # columns u_a(t), sum_k k phi_ak e^{ikwt}, e^{-i eps_a t}
-        phase = np.exp(self._ikw * times[:, None])[:, None] * self._k_rows
-        modes = (phase @ self._phi.reshape(len(self._k), -1)).reshape(
-            (len(times), 2) + self._phi.shape[1:])
-        return modes[:, 0], modes[:, 1], np.exp(self._ieps * times[:, None])
+            2, 3, 1, 0).reshape(len(eps) ** 2, len(shifts), len(self.params)))
 
     def _derivatives(self, times: np.ndarray):
         """U(t) (T, N, N) and dU/dx (T, P, 4, N, N): the total, then its eigenmode,
         quasienergy and multiphoton parts as in the module docstring."""
-        t, (levels, m) = times[:, None, None], self._phi.shape[1:]
+        t, (levels, m) = times[:, None, None], self.center.phi.shape[1:]
         tf = t[..., None]
-        u_t, ku_t, g = self._modes_at(times)
+        u_t, ku_t, g = self.center.modes_at(times)
         ug = u_t * g[:, None]
-        half = np.exp(0.5 * self._ieps * t[:, 0])
+        half = np.exp(-0.5j * self.center.quasienergies * t[:, 0])
         y = self._half_gap * tf
         y = np.where(y, y, 1e-300)                             # sinc(0) = 1
         f = ((-1j * t * half[:, :, None] * half[:, None, :])[..., None]
@@ -288,12 +276,14 @@ class EstimationSession:
         raw = (1j * u.conj().swapaxes(1, 2))[:, None, None] @ du
         raw_dag = raw.conj().swapaxes(-1, -2)
         defects = np.abs(raw - raw_dag)[:, :, 0].max(axis=(-2, -1))
+        return u, du, 0.5 * (raw + raw_dag), defects
+
+    def _warn_defects(self, times, defects) -> None:
         for j, i in np.argwhere(defects > PRESYM_WARN):
             warnings.warn(
                 f"generator Hermiticity defect {defects[j, i]:.2e} for "
                 f"{self.params[i]!r} at t={times[j]:.4g}; n_cut={self.n_cut} "
                 "may be too small", stacklevel=4)
-        return u, du, 0.5 * (raw + raw_dag), defects
 
     def evaluate(self, probe, times) -> GridEvaluation:
         """Every estimate at each of `times`, in one vectorised pass per
@@ -308,14 +298,16 @@ class EstimationSession:
         out = []
         for start in range(0, len(times), TIME_BLOCK):
             block = times[start:start + TIME_BLOCK]
-            u, du, h, defects = self._generators(block)
-            _, fisher, omega = _gram(h.reshape((len(block), -1) + u.shape[1:]), psi)
-            out.append((u, _qfi_parts(fisher, len(self.params)),
-                        fisher[:, ::4, ::4], omega[:, ::4, ::4],
-                        _bounds(h[:, :, 0]), _cfi(u, du[:, :, 0], psi), defects))
+            with np.errstate(over="ignore", invalid="ignore"):  # _check names it
+                u, du, h, defects = self._generators(block)
+                _, fisher, omega = _gram(h.reshape((len(block), -1) + u.shape[1:]), psi)
+                out.append((u, _qfi_parts(fisher, len(self.params)),
+                            fisher[:, ::4, ::4], omega[:, ::4, ::4],
+                            _bounds(h[:, :, 0]), _cfi(u, du[:, :, 0], psi), defects))
         result = GridEvaluation(times, psi, *(out[0] if len(out) == 1 else
                                               map(np.concatenate, zip(*out))))
         _check(result, self.params)
+        self._warn_defects(times, result.defects)
         return result
 
     def _index(self, param: str) -> int:
@@ -326,6 +318,7 @@ class EstimationSession:
     def generator_set(self, param: str, t: float) -> GeneratorSet:
         i = self._index(param)
         _, _, h, defects = self._generators(np.array([t]))
+        self._warn_defects([t], defects)
         return GeneratorSet(param, t, *h[0, i], presym_defect=float(defects[0, i]))
 
     def cfi(self, param: str, t: float, probe,

@@ -5,39 +5,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .reference import unitarity_defect
 from .sambe import _check_times
-from .spectral import DEFECT_TOL, FloquetSpectrum
+from .spectral import FloquetSpectrum
 
 
 @dataclass
 class PropagatorSample:
-    """U(t) in the physical Hilbert space plus its truncation diagnostics."""
+    """U(t) in the physical Hilbert space plus its unitarity defect."""
 
     time: float
     u_matrix: np.ndarray = field(repr=False)
     truncation_defect: float = 0.0
 
-    @property
-    def flagged(self) -> bool:
-        """True when the unitarity defect of U exceeds DEFECT_TOL."""
-        return self.truncation_defect > DEFECT_TOL
-
 
 def evolve(spectrum: FloquetSpectrum, t: float) -> PropagatorSample:
     """U(t) = sum_a u_a(t) e^{-i eps_a t} u_a(0)^dag over the N physical
-    modes, u_a(t) = sum_k phi_{a,k} e^{ikwt}.
+    modes, u_a(t) = sum_k phi_{a,k} e^{ikwt}, from `spectrum.modes_at`.
 
     Valid at arbitrary t; at stroboscopic times t = l T the sideband phases
     collapse to unity.  The unitarity defect is kept as health data; the
     spectrum's construction has already refused an insufficient cutoff.
     """
     _check_times(t)
-    phi = spectrum.sector_view()[:, :, spectrum.modes]     # [k, level, mode]
-    u_t = np.exp(1j * spectrum.k * spectrum.omega * t) @ phi.reshape(len(phi), -1)
-    g = np.exp(-1j * spectrum.eigenvalues[spectrum.modes] * t)
-    u = (u_t.reshape(phi.shape[1:]) * g) @ phi.sum(axis=0).conj().T
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(spectrum.levels))))
-    return PropagatorSample(time=t, u_matrix=u, truncation_defect=defect)
+    u_t, _, g = spectrum.modes_at(np.array([t]))
+    u = ((u_t * g[:, None]) @ spectrum.u0.conj().T)[0]
+    return PropagatorSample(time=t, u_matrix=u, truncation_defect=unitarity_defect(u))
 
 
 @dataclass
@@ -59,15 +52,12 @@ def transition_probability(spectrum: FloquetSpectrum, t: float,
     k from -2 n_cut to 2 n_cut.  The same-sector term sum_k |C_k|^2 and the
     sideband-interference remainder are exported separately for diagnostics.
     """
-    _check_times(t)
-    phi = spectrum.sector_view()[:, :, spectrum.modes]     # [k, level, mode]
-    phase = np.exp(1j * spectrum.k * spectrum.omega * t)
-    g = np.exp(-1j * spectrum.eigenvalues[spectrum.modes] * t)
-    inp = phi[::-1, beta].conj() * phase.conj()[:, None]   # [m, mode]
-    ck = sum(g[a] * np.convolve(inp[:, a], phi[:, gamma, a]) for a in range(len(g)))
-    # sum_k C_k e^{ikwt} factors into sum_a e^{-i eps_a t} u_a(t) u_a(0)^*
-    amp = np.sum(g * (phase @ phi[:, gamma]) * phi[:, beta].sum(axis=0).conj())
-    total = float(np.abs(amp) ** 2)
+    total = float(np.abs(evolve(spectrum, t).u_matrix[gamma, beta]) ** 2)
+    phi = spectrum.phi                                    # [k, level, mode]
+    # phi*_{a,-m,beta} e^{-i(eps_a + m w)t} at row m = spectrum.k
+    inp = phi[::-1, beta].conj() * np.exp(
+        -1j * (spectrum.quasienergies + spectrum.k[:, None] * spectrum.omega) * t)
+    ck = sum(np.convolve(inp[:, a], phi[:, gamma, a]) for a in range(spectrum.levels))
     same = float(np.sum(np.abs(ck) ** 2))
     return TransitionProbability(total=total, sideband_sum=same,
                                  interference=total - same)
@@ -88,5 +78,5 @@ def averaged_probability_longtime(spectrum: FloquetSpectrum,
     """Long-time average P^(2) = sum_a w_{a gamma} w_{a beta} (resonances
     only), w_{ag} = sum_k |phi_{a,k,g}|^2: the sum of |<gamma,k|lam><lam|beta,0>|^2
     over every replica lam of the N physical modes."""
-    w = np.sum(np.abs(spectrum.sector_view()[:, :, spectrum.modes]) ** 2, axis=0)
+    w = np.sum(np.abs(spectrum.phi) ** 2, axis=0)
     return float(np.sum(w[gamma] * w[beta]))

@@ -110,7 +110,8 @@ def propagate_direct(h_of_t: Callable[[np.ndarray], np.ndarray], t: float,
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    """max |u^dag u - 1| of an L x m table (m columns, m = 0 reads 0)."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1])), initial=0))
 
 
 def generator_direct(model: PeriodicHamiltonian, param: str, t: float,

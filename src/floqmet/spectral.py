@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .reference import unitarity_defect
 from .sambe import FloquetMatrix
 
 DEFECT_TOL = 1e-6
@@ -43,7 +44,9 @@ class FloquetSpectrum:
     Floquet modes: of those with mean Fourier index sum_k k |phi_k|^2 in
     (-1/2, 1/2] (one replica per branch), the N with the lowest edge weight;
     `TruncationError` when fewer qualify or their u_a(0) = sum_k phi_{a,k}
-    are not orthonormal within DEFECT_TOL.  Immutable, so shared freely.
+    are not orthonormal within DEFECT_TOL.  They are kept, read-only, as `phi`
+    [k, level, mode] (complex128), `quasienergies` and `u0` [level, mode];
+    `modes_at` evaluates them.  Immutable, so shared freely.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -53,6 +56,9 @@ class FloquetSpectrum:
     omega: float = 1.0
     modes: np.ndarray = field(init=False, repr=False)
     k: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    quasienergies: np.ndarray = field(init=False, repr=False)
+    u0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         view = self.sector_view()
@@ -61,15 +67,28 @@ class FloquetSpectrum:
         qualify = np.nonzero((mean_k > -0.5) & (mean_k <= 0.5))[0]
         by_edge = np.argsort(self.edge_weights()[qualify], kind="stable")
         modes = np.sort(qualify[by_edge[:self.levels]])
-        u0 = view[:, :, modes].sum(axis=0)
-        defect = np.max(np.abs(u0.conj().T @ u0 - np.eye(modes.size)), initial=0)
+        phi = view[:, :, modes].astype(complex, copy=False)
+        u0 = phi.sum(axis=0)
+        defect = unitarity_defect(u0)
         if modes.size < self.levels or defect > DEFECT_TOL:
             raise TruncationError(
                 f"n_cut={self.n_cut} is too small: {modes.size} of {self.levels} "
                 f"physical Floquet modes, orthonormality defect {defect:.2e} "
                 f"(limit {DEFECT_TOL}); increase n_cut")
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "k", k)
+        for name, value in (("modes", modes), ("k", k), ("phi", phi),
+                            ("quasienergies", self.eigenvalues[modes]), ("u0", u0)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def modes_at(self, times):
+        """u_a(t) = sum_k phi_{a,k} e^{ikwt}, sum_k k phi_{a,k} e^{ikwt} (T, level,
+        mode) and e^{-i eps_a t} (T, mode) at a 1-d float array of times."""
+        t = times[:, None]
+        phase = np.exp(1j * self.k * self.omega * t)[:, None] * np.array(
+            [np.ones_like(self.k), self.k])
+        modes = (phase @ self.phi.reshape(len(self.k), -1)).reshape(
+            (len(t), 2) + self.phi.shape[1:])
+        return modes[:, 0], modes[:, 1], np.exp(-1j * self.quasienergies * t)
 
     @property
     def dim(self) -> int:
@@ -109,8 +128,8 @@ def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
     """Exact diagonalization of the (Hermitian) truncated Floquet matrix;
     `TruncationError` when its physical modes fail the certificate.
 
-    A real symmetric matrix runs the real solver; the eigenvector table is
-    complex either way, so the metrology matmuls stay in one dtype.
+    A real symmetric matrix runs the real solver and keeps its real
+    eigenvector table; only the N-mode table `phi` is made complex.
     """
     defect = matrix.hermiticity_defect()
     if defect > 1e-10:
@@ -122,13 +141,7 @@ def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
         scale = float(np.max(np.abs(matrix.data)))
         raise DiagonalizationError(
             f"eigh failed for dim={matrix.dim}, max|entry|={scale:.3e}") from exc
-    return FloquetSpectrum(
-        eigenvalues=lam,
-        eigenvectors=vec.astype(complex, copy=False),
-        n_cut=matrix.n_cut,
-        levels=matrix.levels,
-        omega=matrix.omega,
-    )
+    return FloquetSpectrum(lam, vec, matrix.n_cut, matrix.levels, matrix.omega)
 
 
 @dataclass

@@ -138,7 +138,8 @@ def test_csv_rows_are_as_wide_as_the_header(tmp_path):
     code = main(["qfi", "--b0", "0.5", "--b1", "0.5", "--t", "1", "--ncut", "10",
                  "--probe", "1,0", "--out", str(out)])
     assert code == 0
-    header, row = csv.reader(out.open(newline=""))
+    with out.open(newline="") as fh:
+        header, row = csv.reader(fh)
     assert len(row) == len(header) == len(scan_columns(
         ScanSpec(model="rashba", sweeps=[], fixed={}, times=[])))
     assert row[header.index("probe")] == "1,0"
@@ -149,7 +150,8 @@ def test_csv_rows_are_as_wide_as_the_header(tmp_path):
     code = main(["qfi", "--t", "1", "--ncut", "10", "--probe", "1,0,0",
                  "--out", str(bad)])
     assert code == 3
-    header, row = csv.reader(bad.open(newline=""))
+    with bad.open(newline="") as fh:
+        header, row = csv.reader(fh)
     assert len(row) == len(header)
     assert row[header.index("probe")] == "1,0,0"
     error = row[header.index("error")]
@@ -389,12 +391,11 @@ def test_input_guards_exit_with_code_2(argv, capsys):
     (["scan", "--t", "nan", "--sweep", "b0=0.4:0.6:2"], 3,
      "ValueError: t=nan must be finite and non-negative"),
 ])
-@pytest.mark.filterwarnings("ignore:generator Hermiticity defect")
 def test_bad_times_are_row_errors(argv, code, error, tmp_path):
     out = tmp_path / "rows.csv"
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert main(argv + ["--ncut", "10", "--out", str(out)]) == code
-    rows = list(csv.DictReader(out.open()))
+    assert main(argv + ["--ncut", "10", "--out", str(out)]) == code
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows and all(row["error"].startswith(error) for row in rows)
 
 
@@ -410,8 +411,13 @@ def test_bad_times_are_row_errors(argv, code, error, tmp_path):
      "parameter 'b9' not in model params"),
     (["scaling", "--param", "b9", "--ncut", "200", "--t-grid", "0.5:2:8"],
      "parameter 'b9' not in model params"),
+    (["evolve", "--t", "nan", "--b0", "12", "--b1", "12", "--ncut", "16"],
+     "t=nan must be finite and non-negative"),
+    (["oracle-check", "--t", "nan", "--b0", "12", "--b1", "12", "--ncut", "16"],
+     "t=nan must be finite and non-negative"),
 ], ids=["converge-20,10", "converge-10,8", "converge-8,8", "converge-0,8",
-        "stepsize-b9", "stepsize-3-amplitudes", "converge-b9", "scaling-b9"])
+        "stepsize-b9", "stepsize-3-amplitudes", "converge-b9", "scaling-b9",
+        "evolve-nan", "oracle-check-nan"])
 def test_bad_inputs_are_named(argv, message, capsys, monkeypatch):
     def eigh(*_args, **_kwargs):
         raise AssertionError("diagonalized before the input was checked")

@@ -278,7 +278,7 @@ def test_contraction_matches_amplitude_tables(model, params, n_cut):
 
 
 def test_report_evaluates_propagator_once_without_tables(monkeypatch):
-    calls = {"_modes_at": 0, "evolve": 0, "amplitude_table": 0}
+    calls = {"modes_at": 0, "evolve": 0, "amplitude_table": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -286,8 +286,8 @@ def test_report_evaluates_propagator_once_without_tables(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(EstimationSession, "_modes_at",
-                        counting("_modes_at", EstimationSession._modes_at))
+    monkeypatch.setattr(spectral.FloquetSpectrum, "modes_at",
+                        counting("modes_at", spectral.FloquetSpectrum.modes_at))
     # every module binding, so an imported name is counted as well
     for name, owner in (("evolve", propagator), ("amplitude_table", spectral)):
         fn = counting(name, getattr(owner, name))
@@ -295,7 +295,14 @@ def test_report_evaluates_propagator_once_without_tables(monkeypatch):
             monkeypatch.setattr(module, name, fn, raising=False)
     estimation_report(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
                       ["b0", "b1", "omega"], PROBE, PERIOD, n_cut=12)
-    assert calls == {"_modes_at": 1, "evolve": 0, "amplitude_table": 0}
+    assert calls == {"modes_at": 1, "evolve": 0, "amplitude_table": 0}
+
+
+def test_evolve_is_the_sessions_propagator():
+    session = EstimationSession(RashbaModel(2.3, 2.1, 1.0).hamiltonian(), ["b0"])
+    for t in (0.37, PERIOD, 9.1, 40.3):
+        np.testing.assert_array_equal(evolve(session.center, t).u_matrix,
+                                      session.evaluate(PROBE, [t]).u[0])
 
 
 def test_session_diagonalizes_once(monkeypatch):
@@ -638,11 +645,10 @@ def test_every_time_entry_point_rejects_bad_times(entry, bad, b0_session,
         TIME_ENTRY_POINTS[entry](b0_session, bad)
 
 
-@pytest.mark.filterwarnings("ignore:generator Hermiticity defect")
 def test_non_finite_estimate_is_an_invariant_violation():
     # a finite time so late that the generators overflow
     session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0"],
                                 n_cut=10)
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
-            InvariantViolation, match=r"^non-finite QFI .* for 'b0' at t=1e\+300$"):
+    with pytest.raises(InvariantViolation,
+                       match=r"^non-finite QFI .* for 'b0' at t=1e\+300$"):
         session.evaluate(PROBE, [PERIOD, 1e300, 2e300])

@@ -21,7 +21,7 @@ def spectrum_for(b0, b1, n_cut=50):
 def test_identity_at_t_zero():
     sample = evolve(spectrum_for(0.5, 0.5), 0.0)
     np.testing.assert_allclose(sample.u_matrix, np.eye(2), atol=1e-10)
-    assert not sample.flagged
+    assert sample.truncation_defect < 1e-12
 
 
 def test_static_rabi_probability():
@@ -30,6 +30,16 @@ def test_static_rabi_probability():
     for t in (0.3, 1.1, 2.0, 5.7):
         p = transition_probability(spectrum, t, beta=0, gamma=1)
         assert p.total == pytest.approx(math.sin(t) ** 2, abs=1e-10)
+
+
+def test_transition_probability_total_is_read_from_evolve():
+    spectrum = spectrum_for(2.3, 2.1)
+    for t in (0.37, 2 * math.pi, 9.1):
+        u = evolve(spectrum, t).u_matrix
+        for beta in range(2):
+            for gamma in range(2):
+                p = transition_probability(spectrum, t, beta, gamma)
+                assert p.total == np.abs(u[gamma, beta]) ** 2
 
 
 def test_transition_probability_completeness():

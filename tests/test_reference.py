@@ -87,6 +87,13 @@ def test_midpoint_preserves_unitarity():
     assert unitarity_defect(u) < 1e-11
 
 
+def test_unitarity_defect_of_a_partial_table():
+    q = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+    assert unitarity_defect(q[:, :2]) < 1e-15
+    assert unitarity_defect(2 * q[:, :1]) == pytest.approx(3.0)
+    assert unitarity_defect(q[:, :0]) == 0.0
+
+
 def test_midpoint_second_order_convergence():
     model = RashbaModel(2.0, 1.0, 1.0)
     t = model.period

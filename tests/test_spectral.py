@@ -42,7 +42,7 @@ def test_real_and_complex_solvers_agree(model):
     complex_spectrum = diagonalize(FloquetMatrix(
         n_cut=matrix.n_cut, levels=matrix.levels, omega=matrix.omega,
         data=matrix.data.astype(complex)))
-    assert spectrum.eigenvectors.dtype == np.complex128
+    assert spectrum.phi.dtype == np.complex128
     np.testing.assert_allclose(spectrum.eigenvalues,
                                complex_spectrum.eigenvalues, rtol=0, atol=1e-12)
     for t in (0.7, 2 * np.pi, 9.1):
@@ -126,7 +126,10 @@ def test_diagonalize_certifies_the_spectrum():
         build_floquet_matrix(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), 7))
     np.testing.assert_array_equal(spectrum.k, np.arange(-7, 8))
     assert spectrum.modes.size == 2
-    for name in ("modes", "k", "eigenvectors"):
+    for name in ("modes", "k", "eigenvectors", "phi", "quasienergies", "u0"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(spectrum, name, None)
+    for name in ("modes", "k", "phi", "quasienergies", "u0"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spectrum, name)[0] = 0
 
