@@ -23,7 +23,7 @@ from .metrology import (DEFAULT_N_CUT, DEFAULT_SMOOTH_WINDOW, EstimationSession,
 from .models import RashbaModel, RotatingFieldModel
 from .propagator import evolve
 from .reference import OracleConfig, propagate_direct, unitarity_defect
-from .sambe import _check_times, _param_value, build_floquet_matrix
+from .sambe import _check_times, _param_value, _time_errors, build_floquet_matrix
 from .spectral import diagonalize
 
 EXIT_OK = 0
@@ -31,12 +31,9 @@ EXIT_INVARIANT = 2
 EXIT_POINT_FAILURES = 3
 
 MODEL_PARAMS = {"rashba": ("b0", "b1", "omega"), "rotating": ("b", "omega")}
-# per-parameter scan columns and the ParameterEstimate field each one reads
-ESTIMATE_COLUMNS = (("qfi_{}", "qfi_total"), ("qfi_{}_eigenmode", "qfi_eigenmode"),
-                    ("qfi_{}_quasienergy", "qfi_quasienergy"),
-                    ("qfi_{}_multiphoton", "qfi_multiphoton"),
-                    ("qfi_{}_coherence", "qfi_coherence"),
-                    ("bound_{}", "qfi_upper_bound"), ("cfi_{}", "cfi"))
+# per-parameter scan columns, read from GridEvaluation qfi[j, i], bound and cfi
+ESTIMATE_COLUMNS = ("qfi_{}", "qfi_{}_eigenmode", "qfi_{}_quasienergy",
+                    "qfi_{}_multiphoton", "qfi_{}_coherence", "bound_{}", "cfi_{}")
 
 
 def _physical_model(name: str, values: dict):
@@ -72,18 +69,17 @@ def parse_grid(spec: str) -> np.ndarray:
 
 
 def fmt17(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)  # nan, inf as is
 
 
 def write_table(rows: list[dict], columns: list[str], out, fmt: str) -> None:
-    if fmt == "json":
+    if fmt == "json":  # strict: a non-finite float is written as null
+        def strict(x):
+            return None if isinstance(x, float) and not math.isfinite(x) else x
+
         text = json.dumps(
-            [{c: row.get(c, "") for c in columns} for row in rows],
-            indent=2, default=fmt17) + "\n"
+            [{c: strict(row.get(c, "")) for c in columns} for row in rows],
+            indent=2, default=fmt17, allow_nan=False) + "\n"
     else:  # minimal quoting: only fields holding a comma, quote or newline
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
@@ -109,7 +105,11 @@ class ScanSpec:
     jobs: int = 1
 
     def grid_points(self) -> list[dict]:
-        """Row-major cartesian product over the swept axes."""
+        """Row-major cartesian product over the swept axes, distinct model parameters."""
+        names = [name for name, *_ in self.sweeps]
+        if len(set(names)) < len(names) or set(names) - set(MODEL_PARAMS[self.model]):
+            raise ValueError(f"sweep axes {names} must be distinct parameters of "
+                             f"model {self.model!r} {MODEL_PARAMS[self.model]}")
         axes = [(name, np.linspace(lo, hi, n)) for name, lo, hi, n in self.sweeps]
         points: list[dict] = [dict(self.fixed)]
         for name, values in axes:
@@ -118,40 +118,43 @@ class ScanSpec:
 
 
 def _scan_point(args) -> list[dict]:
-    """One row per time for one grid point, from a single session; an error
-    building the session or parsing the probe goes on every time's row."""
+    """One row per time of a grid point, from one session and one evaluation of
+    the valid times.  A bad time or a failed invariant is the error of its row;
+    a failed session or probe that of every row, a failed evaluation of its rows."""
     spec, values = args
-    names = MODEL_PARAMS[spec.model]
-    params = list(names)
-    rows = [dict({name: values[name] for name in names}, time=t,
-                 n_cut=spec.n_cut, probe=spec.probe, error="")
-            for t in spec.times]
+    params = list(MODEL_PARAMS[spec.model])
+    rows = [dict({name: values[name] for name in params}, time=t,
+                 n_cut=spec.n_cut, probe=spec.probe, error=error)
+            for t, error in zip(spec.times, _time_errors(spec.times))]
+    valid = [row for row in rows if row["error"] is None]
     try:
-        session = EstimationSession(make_model(spec.model, values), params,
-                                    spec.n_cut)
-        probe = parse_probe(spec.probe)
+        session = EstimationSession(make_model(spec.model, values), params, spec.n_cut)
+        psi = _as_probe(parse_probe(spec.probe), session.model.levels)
     except Exception as exc:  # per-point failure: record, keep scanning
-        for row in rows:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return rows
-    for row in rows:
+        rows, valid = [dict(row, error=exc) for row in rows], []
+    if valid:
         try:
-            report = estimation_report(session.model, params, probe, row["time"],
-                                       session=session)
-            for p, est in report.estimates.items():
-                row.update((col.format(p), getattr(est, f)) for col, f in ESTIMATE_COLUMNS)
-            for (l, lp), om in report.incompatibility.items():
-                row[f"omega_{l}_{lp}"] = om
-                row[f"qfim_{l}_{lp}"] = float(report.qfim[params.index(l), params.index(lp)])
-        except Exception as exc:  # per-time failure: record, keep scanning
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            grid, verdicts = session._grid(psi, np.array([row["time"] for row in valid]))
+        except Exception as exc:  # on every row the evaluation would fill
+            grid, verdicts = None, [exc] * len(valid)
+        for j, (row, verdict) in enumerate(zip(valid, verdicts)):
+            row["error"] = verdict
+            for i, p in enumerate(params if verdict is None else ()):
+                row.update(zip((col.format(p) for col in ESTIMATE_COLUMNS),
+                               [*grid.qfi[j, i], grid.bound[j, i], grid.cfi[j, i]]))
+                for k, q in enumerate(params[i + 1:], i + 1):
+                    row[f"omega_{p}_{q}"] = grid.omega[j, i, k]
+                    row[f"qfim_{p}_{q}"] = grid.qfim[j, i, k]
+    for row in rows:
+        error = row["error"]
+        row["error"] = f"{type(error).__name__}: {error}" if error else ""
     return rows
 
 
 def scan_columns(spec: ScanSpec) -> list[str]:
     names = MODEL_PARAMS[spec.model]
     cols = list(names) + ["time"]
-    cols += [col.format(p) for p in names for col, _ in ESTIMATE_COLUMNS]
+    cols += [col.format(p) for p in names for col in ESTIMATE_COLUMNS]
     pairs = [f"{l}_{lp}" for i, l in enumerate(names) for lp in names[i + 1:]]
     cols += [f"omega_{pair}" for pair in pairs] + [f"qfim_{pair}" for pair in pairs]
     cols += ["n_cut", "probe", "error"]
@@ -242,11 +245,9 @@ def cmd_qfi(args) -> int:
     spec = _scan_spec(args, sweeps=[])
     rows, failures = run_scan(spec)
     write_table(rows, scan_columns(spec), args.out, args.format)
-    if failures:
-        return (EXIT_INVARIANT
-                if any("InvariantViolation" in row["error"] for row in rows)
-                else EXIT_POINT_FAILURES)
-    return EXIT_OK
+    if any("InvariantViolation" in row["error"] for row in rows):
+        return EXIT_INVARIANT
+    return EXIT_POINT_FAILURES if failures else EXIT_OK
 
 
 def cmd_scan(args) -> int:

@@ -29,12 +29,13 @@ quasienergy part is sum_a u_a(t) W^(0)_aa F^(0)_aa u_a(0)^dag - X, the
 multiphoton part L + X, the eigenmode part the rest of the W F sum; at
 t = l T and x != w, h_quasienergy = l T sum_a (d eps_a/dx) |u_a(0)><u_a(0)|.
 
-Every estimate reads the Gram matrix Q_ij = <h_i h_j> - <h_i><h_j> of the
-4P generators (each parameter's total and three parts) on the probe: the QFI
-matrix is 4 Re Q, the incompatibility Im <[h_l, h_m]> = 2 Im Q_lm (Liu et
-al., J. Phys. A 53, 023001 (2020)), a part's QFI 4 Re Q_cc and the coherence
-share 8 Re of its block's off-diagonal entries.  `EstimationSession.evaluate`
-computes them for a grid of times; `estimation_report` is its one-time case.
+Every estimate reads the Gram matrix Q_ij = <h_i h_j> - <h_i><h_j> of the 4P
+generators (each parameter's total and three parts) on the probe: the QFI
+matrix is 4 Re Q, the incompatibility Im <[h_l, h_m]> = 2 Im Q_lm (Liu et al.,
+J. Phys. A 53, 023001 (2020)), a part's QFI 4 Re Q_cc and the coherence share
+8 Re of its block's off-diagonal entries.  One pass computes them for a grid
+of times and checks each time on its own; `EstimationSession.evaluate` raises
+the first failed check, and `estimation_report` is its one-time case.
 """
 from __future__ import annotations
 
@@ -129,7 +130,7 @@ def _cfi(u: np.ndarray, du: np.ndarray, psi: np.ndarray) -> np.ndarray:
             warnings.warn(
                 f"outcome with P={p:.1e} but dP={dp:.1e} dropped from "
                 "the CFI sum (sign change through zero probability?)",
-                stacklevel=4)
+                stacklevel=5)
     return np.where(keep, dprobs * dprobs / np.where(keep, probs, 1.0), 0.0).sum(axis=-1)
 
 
@@ -271,30 +272,38 @@ class EstimationSession:
     def _generators(self, times: np.ndarray):
         """U, dU/dx, the Hermitian generators i U^dag dU/dx (T, P, 4, N, N)
         and the Hermiticity defect (T, P) of each total before symmetrizing."""
-        _check_times(times)
         u, du = self._derivatives(times)
         raw = (1j * u.conj().swapaxes(1, 2))[:, None, None] @ du
         raw_dag = raw.conj().swapaxes(-1, -2)
         defects = np.abs(raw - raw_dag)[:, :, 0].max(axis=(-2, -1))
         return u, du, 0.5 * (raw + raw_dag), defects
 
-    def _warn_defects(self, times, defects) -> None:
+    def _warn_defects(self, times, defects, verdicts, stacklevel: int) -> None:
         for j, i in np.argwhere(defects > PRESYM_WARN):
-            warnings.warn(
-                f"generator Hermiticity defect {defects[j, i]:.2e} for "
-                f"{self.params[i]!r} at t={times[j]:.4g}; n_cut={self.n_cut} "
-                "may be too small", stacklevel=4)
+            if verdicts[j] is None:
+                warnings.warn(
+                    f"generator Hermiticity defect {defects[j, i]:.2e} for "
+                    f"{self.params[i]!r} at t={times[j]:.4g}; n_cut={self.n_cut} "
+                    "may be too small", stacklevel=stacklevel)
 
     def evaluate(self, probe, times) -> GridEvaluation:
-        """Every estimate at each of `times`, in one vectorised pass per
-        block of TIME_BLOCK times; a time's values do not depend on the other
-        times.  The invariants (decomposition identity, QFI within [0, bound],
-        general-t CFI below QFI) are checked at every time before anything is
-        returned; an `InvariantViolation` names the first failing time."""
+        """Every estimate at each of `times`, in one vectorised pass per block
+        of TIME_BLOCK times; a time's values do not depend on the other times.
+        The probe and times are checked before any work and the invariants (see
+        `_check`) before anything is returned, naming the first failing time."""
         psi = _as_probe(probe, self.model.levels)
         times = np.asarray(times, dtype=float).reshape(-1)
         if not times.size:
             raise ValueError("evaluate needs at least one time")
+        _check_times(times)
+        grid, verdicts = self._grid(psi, times)
+        for verdict in filter(None, verdicts):
+            raise verdict
+        return grid
+
+    def _grid(self, psi: np.ndarray, times: np.ndarray):
+        """`evaluate` of a checked probe and times, returning each time's verdict
+        (None or its InvariantViolation); Hermiticity warnings only for None."""
         out = []
         for start in range(0, len(times), TIME_BLOCK):
             block = times[start:start + TIME_BLOCK]
@@ -304,11 +313,11 @@ class EstimationSession:
                 out.append((u, _qfi_parts(fisher, len(self.params)),
                             fisher[:, ::4, ::4], omega[:, ::4, ::4],
                             _bounds(h[:, :, 0]), _cfi(u, du[:, :, 0], psi), defects))
-        result = GridEvaluation(times, psi, *(out[0] if len(out) == 1 else
-                                              map(np.concatenate, zip(*out))))
-        _check(result, self.params)
-        self._warn_defects(times, result.defects)
-        return result
+        grid = GridEvaluation(times, psi, *(out[0] if len(out) == 1 else
+                                            map(np.concatenate, zip(*out))))
+        verdicts = _check(grid, self.params)
+        self._warn_defects(times, grid.defects, verdicts, stacklevel=5)
+        return grid, verdicts
 
     def _index(self, param: str) -> int:
         if param not in self.params:
@@ -317,22 +326,22 @@ class EstimationSession:
 
     def generator_set(self, param: str, t: float) -> GeneratorSet:
         i = self._index(param)
+        _check_times(t)
         _, _, h, defects = self._generators(np.array([t]))
-        self._warn_defects([t], defects)
+        self._warn_defects([t], defects, [None], stacklevel=4)
         return GeneratorSet(param, t, *h[0, i], presym_defect=float(defects[0, i]))
 
-    def cfi(self, param: str, t: float, probe,
-            stroboscopic: bool = True) -> float:
+    def cfi(self, param: str, t: float, probe) -> float:
         """CFI of the projective measurement in the bare level basis (for two
-        levels, the two outcomes {|1><1|, 1 - |1><1|}); t must be a positive
-        multiple of the drive period 2 pi / omega unless stroboscopic=False."""
+        levels, the two outcomes {|1><1|, 1 - |1><1|}) at t a positive multiple
+        of the drive period 2 pi / omega; for general t see `evaluate`."""
         _check_times(t)
         i = self._index(param)
         cycles = t / self.model.period
-        if stroboscopic and (abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1):
+        if abs(cycles - round(cycles)) > 1e-9 or round(cycles) < 1:
             raise ValueError(
                 f"t={t:.6g} is not a positive multiple of the drive period "
-                f"{self.model.period:.6g}; use stroboscopic=False for general-t CFI")
+                f"{self.model.period:.6g}; use evaluate(probe, [t]).cfi for general t")
         return float(self.evaluate(probe, [t]).cfi[0, i])
 
 
@@ -419,20 +428,22 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
                             n_cut=session.n_cut)
 
 
-def _check(grid: GridEvaluation, params) -> None:
-    """Raise InvariantViolation at the first failing (time, parameter, check)."""
+def _check(grid: GridEvaluation, params) -> list:
+    """Per time: None, or the InvariantViolation of its first failing (param,
+    check): finite, decomposition identity, QFI in [0, bound], CFI below QFI."""
     total = grid.qfi[..., 0]
     defect = np.abs(total - grid.qfi[..., 1:].sum(axis=-1))
     finite = np.isfinite(total) & np.isfinite(grid.bound) & np.isfinite(grid.cfi)
     bad = np.array((~finite, defect > DECOMPOSITION_TOL, total < -1e-9,
                     total > grid.bound + DECOMPOSITION_TOL,
-                    grid.cfi > total + DECOMPOSITION_TOL))
-    if bad.any():
-        j, i, kind = np.argwhere(bad.transpose(1, 2, 0))[0]
-        p, total, bound, cfi = params[i], total[j, i], grid.bound[j, i], grid.cfi[j, i]
-        message = (f"non-finite QFI {total}, bound {bound} or CFI {cfi} for {p!r}",
+                    grid.cfi > total + DECOMPOSITION_TOL)).transpose(1, 2, 0)
+    verdicts = [None] * len(grid.times)
+    for j, i, kind in list(zip(*bad.nonzero()))[::-1]:  # each time's first failure last
+        p, value, bound, cfi = params[i], total[j, i], grid.bound[j, i], grid.cfi[j, i]
+        message = (f"non-finite QFI {value}, bound {bound} or CFI {cfi} for {p!r}",
                    f"QFI decomposition defect {defect[j, i]:.2e} for {p!r} exceeds "
-                   f"{DECOMPOSITION_TOL}", f"negative QFI {total} for {p!r}",
-                   f"QFI {total} exceeds its upper bound {bound} for {p!r}",
-                   f"CFI {cfi} exceeds QFI {total} for {p!r}")[kind]
-        raise InvariantViolation(f"{message} at t={float(grid.times[j])!r}")
+                   f"{DECOMPOSITION_TOL}", f"negative QFI {value} for {p!r}",
+                   f"QFI {value} exceeds its upper bound {bound} for {p!r}",
+                   f"CFI {cfi} exceeds QFI {value} for {p!r}")[kind]
+        verdicts[j] = InvariantViolation(f"{message} at t={float(grid.times[j])!r}")
+    return verdicts

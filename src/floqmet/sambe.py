@@ -19,12 +19,17 @@ class FloquetBuildError(ValueError):
     """Raised when a Floquet matrix cannot be assembled as requested."""
 
 
+def _time_errors(times) -> list:
+    """Per time: None, or the ValueError naming it if it is negative or not finite."""
+    return [None if 0 <= t < np.inf else
+            ValueError(f"t={t!r} must be finite and non-negative")
+            for t in np.asarray(times, dtype=float).reshape(-1).tolist()]
+
+
 def _check_times(times) -> None:
-    """Raise a ValueError naming the first of `times` that is negative or not finite."""
-    times = np.asarray(times, dtype=float).reshape(-1)
-    bad = times[~(np.isfinite(times) & (times >= 0))]
-    if bad.size:
-        raise ValueError(f"t={float(bad[0])!r} must be finite and non-negative")
+    """Raise the ValueError naming the first of `times` that is negative or not finite."""
+    for error in filter(None, _time_errors(times)):
+        raise error
 
 
 @dataclass(frozen=True)

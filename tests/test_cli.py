@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floqmet import cli
+from floqmet import cli, spectral
 from floqmet.cli import (ScanSpec, fit_scaling, fmt17, main, parse_grid,
                          parse_probe, run_scan, scan_columns)
-from floqmet.metrology import InvariantViolation
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -91,24 +90,51 @@ def test_qfi_command_json(tmp_path):
     assert row["error"] == ""
 
 
-def test_qfi_exit_code_reads_every_row(tmp_path, monkeypatch):
-    # an invariant violation on a later --t-grid row still exits with 2
-    real_report = cli.estimation_report
-
-    def report(model, params, probe, t, **kwargs):
-        if t > 1.5 * math.pi:
-            raise InvariantViolation("forced failure on a later row")
-        return real_report(model, params, probe, t, **kwargs)
-
-    monkeypatch.setattr(cli, "estimation_report", report)
+def test_qfi_exit_code_reads_every_row(tmp_path):
+    # an invariant violation on a later --t-grid row still exits with 2: at
+    # t = 1e300 the generators overflow
     out = tmp_path / "qfi.csv"
     code = main(["qfi", "--model", "rotating", "--ncut", "10",
-                 "--t-grid", f"{math.pi}:{2 * math.pi}:2", "--out", str(out)])
+                 f"--t-grid={math.pi}:1e300:2", "--out", str(out)])
     assert code == 2
-    header, first, second = out.read_text().splitlines()
-    error = header.split(",").index("error")
-    assert first.split(",")[error] == ""
-    assert "InvariantViolation" in second.split(",")[error]
+    with out.open(newline="") as fh:
+        first, second = csv.DictReader(fh)
+    assert first["error"] == "" and float(first["qfi_b"]) > 0
+    assert second["error"].startswith("InvariantViolation: non-finite QFI")
+    assert second["qfi_b"] == ""
+
+
+def test_scan_point_evaluates_its_times_once(monkeypatch):
+    # one session and one time-grid evaluation per point, not one per time
+    calls = []
+    real_modes_at = spectral.FloquetSpectrum.modes_at
+
+    def modes_at(self, times):
+        calls.append(len(times))
+        return real_modes_at(self, times)
+
+    monkeypatch.setattr(spectral.FloquetSpectrum, "modes_at", modes_at)
+    spec = ScanSpec(model="rashba", sweeps=[("b0", 0.4, 2.6, 3)],
+                    fixed={"b1": 0.5, "omega": 1.0},
+                    times=[1.0, 2.0, 3.0, 4.0, 5.0], n_cut=12)
+    rows, failures = run_scan(spec)
+    assert failures == 0 and len(rows) == 15
+    assert calls == [5, 5, 5]
+
+
+def test_bad_times_and_failed_invariants_are_their_own_rows(tmp_path):
+    # per point: a negative time, t = 0 and an overflowing time
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--sweep", "b0=0.4:2.6:2", "--t-grid=-1e300:1e300:3",
+                 "--ncut", "12", "--out", str(out)]) == 3
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"].split(":")[0] for row in rows] == [
+        "ValueError", "", "InvariantViolation"] * 2
+    assert rows[0]["error"] == "ValueError: t=-1e+300 must be finite and non-negative"
+    assert rows[2]["error"].startswith("InvariantViolation: non-finite QFI ")
+    assert all(row["qfi_b0"] == "" for row in rows[::3] + rows[2::3])
+    assert [float(row["qfi_b0"]) for row in rows[1::3]] == [0.0, 0.0]
 
 
 def test_failing_point_builds_its_session_once(monkeypatch):
@@ -268,6 +294,20 @@ def test_converge_command(tmp_path):
     assert float(lines[2].split(",")[2]) < 1e-4
 
 
+def test_json_is_strict(tmp_path):
+    # the first row's relative change is NaN: strict JSON has no NaN literal
+    out = tmp_path / "conv.json"
+    assert main(["converge", "--ncuts", "10,12", "--param", "b0",
+                 "--format", "json", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    first, second = json.loads(out.read_text(), parse_constant=reject)
+    assert first["rel_change_b0"] is None
+    assert 0 <= second["rel_change_b0"] < 1e-10
+
+
 class ReadRecorder(argparse.Namespace):
     """Namespace that records every attribute a command reads."""
 
@@ -332,6 +372,21 @@ def exit_code(argv):
 def test_flags_a_subcommand_does_not_use_are_rejected(argv, capsys):
     assert exit_code(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sweep", "x=0:1:3", "--ncut", "10"],
+     "sweep axes ['x'] must be distinct parameters of model 'rashba' "
+     "('b0', 'b1', 'omega')"),
+    (["--model", "rotating", "--sweep", "b0=0:1:2"],
+     "sweep axes ['b0'] must be distinct parameters of model 'rotating' ('b', 'omega')"),
+    (["--sweep", "b0=0:1:2", "--sweep", "b0=2:3:2"],
+     "sweep axes ['b0', 'b0'] must be distinct parameters of model 'rashba' "
+     "('b0', 'b1', 'omega')"),
+], ids=["unknown-axis", "axis-of-another-model", "repeated-axis"])
+def test_sweep_axes_must_be_distinct_model_parameters(argv, message, capsys):
+    assert exit_code(["scan", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_config_key_naming_no_flag_is_rejected(tmp_path, capsys):

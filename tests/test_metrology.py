@@ -133,7 +133,7 @@ def test_cfi_static_rabi_phase_estimation():
                                 fourier_component=comp, max_harmonic=0)
     session = EstimationSession(model, ["a"], n_cut=3)
     t = 1.0
-    cfi = session.cfi("a", t, 0, stroboscopic=False)
+    cfi = session.evaluate(0, [t]).cfi[0, 0]
     assert cfi == pytest.approx(4 * t * t, abs=1e-6)
 
 
@@ -149,8 +149,7 @@ def test_stroboscopic_cfi_clock_is_the_drive_period(omega):
     model = RashbaModel(0.5, 0.5, omega).hamiltonian()
     session = EstimationSession(model, ["b0"], n_cut=10)
     period = 2 * math.pi / omega
-    assert session.cfi("b0", period, PROBE) == session.cfi(
-        "b0", period, PROBE, stroboscopic=False)
+    assert session.cfi("b0", period, PROBE) == session.evaluate(PROBE, [period]).cfi[0, 0]
     with pytest.raises(ValueError, match="drive period"):
         session.cfi("b0", period / 2, PROBE)
 
@@ -410,6 +409,71 @@ def test_exact_sambe_degeneracies_are_finite():
                                            rtol=0, atol=1e-12)
 
 
+def random_drive(levels, max_harmonic, seed):
+    """A random Hermitian drive in parameters a (linear), c (quadratic in
+    H^(0), linear in every H^(n), n != 0) and omega."""
+    rng = np.random.default_rng(seed)
+
+    def matrix():
+        return 0.3 * (rng.standard_normal((levels, levels))
+                      + 1j * rng.standard_normal((levels, levels)))
+
+    static = [m + m.conj().T for m in (matrix() for _ in range(3))]
+    drives = [[matrix() for _ in range(3)] for _ in range(max_harmonic)]
+
+    def comp(n, params):
+        a, c = params["a"], params["c"]
+        if n == 0:
+            return static[0] + a * static[1] + c * c * static[2]
+        d = drives[abs(n) - 1]
+        h = d[0] + a * d[1] + c * d[2]
+        return h if n > 0 else h.conj().T
+
+    return PeriodicHamiltonian(levels=levels, omega=1.3,
+                               params={"a": 0.7, "c": 0.6, "omega": 1.3},
+                               fourier_component=comp, max_harmonic=max_harmonic)
+
+
+RK4_4000 = OracleConfig(4000, "rk4")
+
+
+@pytest.mark.parametrize("levels, max_harmonic", [(3, 2), (4, 1)])
+def test_general_drives_match_the_ode_oracle(levels, max_harmonic):
+    # N > 2 levels and a second harmonic, against an RK4 finite difference
+    model = random_drive(levels, max_harmonic, seed=levels)
+    session = EstimationSession(model, ["a", "c", "omega"], n_cut=20)
+    for t in (0.37 * model.period, model.period, 2.6 * model.period):
+        for param in session.params:
+            gen = session.generator_set(param, t)
+            assert gen.component_sum_defect() <= 1e-12
+            direct = generator_direct(model, param, t, delta=1e-5, cfg=RK4_4000)
+            err = np.max(np.abs(gen.total - direct)) / np.max(np.abs(direct))
+            assert err <= 1e-6, (param, t, err)
+
+
+# quasienergies degenerate mod omega: eps_+ - eps_- = omega or 2 omega
+DEGENERATE = {"rashba-0-0.5": RashbaModel(0.0, 0.5), "rashba-0-1": RashbaModel(0.0, 1.0),
+              "rashba-0.866-0": RashbaModel(math.sqrt(3) / 2, 0.0),
+              "rotating-0.866": RotatingFieldModel(math.sqrt(3) / 2)}
+
+
+@pytest.mark.parametrize("n_cut", [10, 30])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_exact_degeneracies_are_certified_and_exact(name, n_cut):
+    physical = DEGENERATE[name]
+    model = physical.hamiltonian()
+    session = EstimationSession(model, list(model.params), n_cut=n_cut)  # certified
+    assert session.center.folded_gap() <= 8e-16
+    for t in (0.37 * PERIOD, PERIOD, 2.6 * PERIOD):
+        u_direct = propagate_direct(physical.h_at, t, RK4_4000)
+        assert np.max(np.abs(evolve(session.center, t).u_matrix - u_direct)) <= 1e-9
+        for param in session.params:
+            h = session.generator_set(param, t).total
+            direct = generator_direct(model, param, t, delta=1e-5, cfg=RK4_4000)
+            err = np.max(np.abs(h - direct))
+            assert err <= 1e-7 * max(1.0, np.max(np.abs(direct))), (param, t, err)
+
+
 @pytest.mark.parametrize("b0, b1", [(0.5, 0.5), (2.0, 1.0), (1.0, 3.0),
                                     (5.0, 5.0)])
 def test_stroboscopic_quasienergy_generator(b0, b1):
@@ -452,7 +516,7 @@ def test_reports_at_interleaved_times_match_standalone_calls():
         for p in params:
             est = report.estimates[p]
             alone = qfi(gens[p], PROBE)
-            assert est.cfi == session.cfi(p, t, PROBE, stroboscopic=False)
+            assert est.cfi == session.evaluate(PROBE, [t]).cfi[0, params.index(p)]
             assert est.qfi_total == alone.qfi_total
             assert est.qfi_upper_bound == alone.qfi_upper_bound
         assert report.incompatibility[("b0", "omega")] == incompatibility(
@@ -538,13 +602,18 @@ def test_invariant_violation_names_the_failing_time(monkeypatch):
 
     def bounds(totals):
         out = real_bounds(totals)
-        out[2, 1] = -1.0  # the third time, second parameter
+        out[2, 1] = out[3] = -1.0  # the third time's second parameter, the fourth's both
         return out
 
     monkeypatch.setattr(metrology, "_bounds", bounds)
     with pytest.raises(InvariantViolation,
                        match=r"upper bound -1\.0 for 'b1' at t=3\.5$"):
         session.evaluate(PROBE, [1.5, 2.5, 3.5, 4.5])
+    # as verdicts, one per time, each naming that time's first failing parameter
+    _, verdicts = session._grid(PROBE, np.array([1.5, 2.5, 3.5, 4.5]))
+    assert verdicts[:2] == [None, None]
+    assert str(verdicts[2]).endswith("upper bound -1.0 for 'b1' at t=3.5")
+    assert str(verdicts[3]).endswith("upper bound -1.0 for 'b0' at t=4.5")
 
 
 @pytest.mark.parametrize("b0, b1", [(0.5, 0.5), (2.0, 1.0), (3.0, 3.2),
@@ -600,10 +669,12 @@ def test_cfi_drops_vanishing_outcomes_with_a_warning():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-def test_negative_or_non_finite_time_is_named(bad):
-    # the bad time sits in the second block of TIME_BLOCK times
+def test_negative_or_non_finite_time_is_named(bad, monkeypatch):
+    # the bad time sits in the second block of TIME_BLOCK times: named before
+    # the first block is evaluated
     session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), ["b0"],
                                 n_cut=10)
+    monkeypatch.setattr(session, "_derivatives", None)
     with pytest.raises(ValueError, match=f"^t={bad!r} must be finite and non-negative"):
         session.evaluate(PROBE, [PERIOD] * TIME_BLOCK + [bad])
 
@@ -626,7 +697,6 @@ TIME_ENTRY_POINTS = {
         lambda s, t: estimation_report(s.model, ["b0"], PROBE, t, session=s),
     "generator_set": lambda s, t: s.generator_set("b0", t),
     "cfi-stroboscopic": lambda s, t: s.cfi("b0", t, PROBE),
-    "cfi-general-t": lambda s, t: s.cfi("b0", t, PROBE, stroboscopic=False),
 }
 
 
