@@ -53,19 +53,30 @@ def parse_probe(spec: str) -> np.ndarray:
     if spec == "gs-h0":
         return mdl.GROUND_PROBE.copy()
     amps = np.array([complex(tok) for tok in spec.split(",")])
+    if not np.isfinite(amps).all():
+        raise ValueError(f"probe {spec!r} has a non-finite amplitude")
     norm = np.linalg.norm(amps)
     if norm == 0:
         raise ValueError("probe amplitudes are all zero")
     return amps / norm
 
 
+def _grid_spec(spec: str, grid: str, form: str) -> tuple[float, float, int]:
+    """(lo, hi, points) of `grid`, 'lo:hi:points', a ValueError naming `spec`
+    and its `form` if it has another form."""
+    try:
+        lo, hi, points = grid.split(":")
+        return float(lo), float(hi), int(points)
+    except ValueError:
+        raise ValueError(f"{spec!r} is not of the form {form}") from None
+
+
 def parse_grid(spec: str) -> np.ndarray:
     """'start:stop:points' -> inclusive linear grid."""
-    start, stop, points = spec.split(":")
-    points = int(points)
+    start, stop, points = _grid_spec(spec, spec, "start:stop:points")
     if points < 2:
         raise ValueError("grid needs at least 2 points")
-    return np.linspace(float(start), float(stop), points)
+    return np.linspace(start, stop, points)
 
 
 def fmt17(x) -> str:
@@ -162,10 +173,15 @@ def scan_columns(spec: ScanSpec) -> list[str]:
 
 
 def run_scan(spec: ScanSpec) -> tuple[list[dict], int]:
+    """Every row of the scan, in order, and the number of failed rows; at most
+    one worker process per grid point."""
+    if spec.jobs < 1:
+        raise ValueError(f"jobs={spec.jobs} must be at least 1")
     tasks = [(spec, values) for values in spec.grid_points()]
-    if spec.jobs > 1:
+    workers = min(spec.jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(_scan_point, tasks, chunksize=1))
     else:
         per_point = [_scan_point(task) for task in tasks]
@@ -186,14 +202,12 @@ class ScalingFit:
 
 def fit_scaling(times, values, window: str = "raw",
                 smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> ScalingFit:
+    """Fit of the positive values; the fit's `times` are the times kept."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if window == "local-mean":
         values = local_mean(values, smooth_window)
     keep = values > 0
-    if not np.all(keep):
-        print(f"warning: dropping {np.sum(~keep)} nonpositive values from the "
-              "scaling fit", file=sys.stderr)
     x = np.log(times[keep])
     y = np.log(values[keep])
     slope, intercept = np.polyfit(x, y, 1)
@@ -390,12 +404,11 @@ def cmd_units(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
-    name, grid = spec.split("=")
-    lo, hi, points = grid.split(":")
-    points = int(points)
+    name, _, grid = spec.partition("=")
+    lo, hi, points = _grid_spec(spec, grid, "PARAM=lo:hi:points")
     if points < 2:
         raise ValueError(f"sweep {name!r} needs at least 2 points")
-    return name, float(lo), float(hi), points
+    return name, lo, hi, points
 
 
 def _times(args) -> list[float]:

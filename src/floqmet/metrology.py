@@ -34,12 +34,13 @@ generators (each parameter's total and three parts) on the probe: the QFI
 matrix is 4 Re Q, the incompatibility Im <[h_l, h_m]> = 2 Im Q_lm (Liu et al.,
 J. Phys. A 53, 023001 (2020)), a part's QFI 4 Re Q_cc and the coherence share
 8 Re of its block's off-diagonal entries.  One pass computes them for a grid
-of times and checks each time on its own; `EstimationSession.evaluate` raises
-the first failed check, and `estimation_report` is its one-time case.
+of times; `_check` gives each time one verdict, None or the InvariantViolation
+naming its failure, parameter and time, the only report of numerical doubt.
+`EstimationSession.evaluate` raises the first, a scan writes each on its own
+row, and `estimation_report` is the one-time case.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ from .spectral import diagonalize
 DEFAULT_N_CUT = 50
 DEFAULT_SMOOTH_WINDOW = 21
 DECOMPOSITION_TOL = 1e-6
-PRESYM_WARN = 1e-4
+PRESYM_TOL = 1e-4
 CFI_PROB_FLOOR = 1e-12
 TIME_BLOCK = 32  # times per pass: its temporaries grow as TIME_BLOCK n_cut N^2
 
@@ -86,6 +87,8 @@ def _as_probe(probe, levels: int) -> np.ndarray:
     psi = np.asarray(probe, dtype=complex)
     if psi.shape != (levels,):
         raise ValueError(f"probe {probe!r} is not a state vector for levels={levels}")
+    if not np.isfinite(psi).all():
+        raise ValueError(f"probe {probe!r} has a non-finite amplitude")
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError(f"probe state is not normalized: |psi| = {np.linalg.norm(psi)}")
     return psi
@@ -119,19 +122,15 @@ def _bounds(totals: np.ndarray) -> np.ndarray:
 
 def _cfi(u: np.ndarray, du: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Fisher information (T, P) of the level populations of U psi, from U
-    (T, N, N) and dU/dx (T, P, N, N); outcomes below CFI_PROB_FLOOR drop out."""
+    (T, N, N) and dU/dx (T, P, N, N).  An outcome below CFI_PROB_FLOOR drops
+    out if its |dP| is at most 1e-6; otherwise dP^2 / P has no estimate and
+    the CFI is NaN, which `_check` names as undefined."""
     amps = (u @ psi)[:, None]
     probs = np.abs(amps) ** 2
     dprobs = 2.0 * np.real(amps.conj() * (du @ psi))
     keep = probs >= CFI_PROB_FLOOR
-    if not keep.all():
-        dropped = ~keep & (np.abs(dprobs) > 1e-6)
-        for p, dp in zip(np.broadcast_to(probs, dprobs.shape)[dropped], dprobs[dropped]):
-            warnings.warn(
-                f"outcome with P={p:.1e} but dP={dp:.1e} dropped from "
-                "the CFI sum (sign change through zero probability?)",
-                stacklevel=5)
-    return np.where(keep, dprobs * dprobs / np.where(keep, probs, 1.0), 0.0).sum(axis=-1)
+    lost = np.where(np.abs(dprobs) > 1e-6, np.nan, 0.0)
+    return np.where(keep, dprobs * dprobs / np.where(keep, probs, 1.0), lost).sum(axis=-1)
 
 
 def local_mean(values, window: int = DEFAULT_SMOOTH_WINDOW) -> np.ndarray:
@@ -278,14 +277,6 @@ class EstimationSession:
         defects = np.abs(raw - raw_dag)[:, :, 0].max(axis=(-2, -1))
         return u, du, 0.5 * (raw + raw_dag), defects
 
-    def _warn_defects(self, times, defects, verdicts, stacklevel: int) -> None:
-        for j, i in np.argwhere(defects > PRESYM_WARN):
-            if verdicts[j] is None:
-                warnings.warn(
-                    f"generator Hermiticity defect {defects[j, i]:.2e} for "
-                    f"{self.params[i]!r} at t={times[j]:.4g}; n_cut={self.n_cut} "
-                    "may be too small", stacklevel=stacklevel)
-
     def evaluate(self, probe, times) -> GridEvaluation:
         """Every estimate at each of `times`, in one vectorised pass per block
         of TIME_BLOCK times; a time's values do not depend on the other times.
@@ -303,7 +294,7 @@ class EstimationSession:
 
     def _grid(self, psi: np.ndarray, times: np.ndarray):
         """`evaluate` of a checked probe and times, returning each time's verdict
-        (None or its InvariantViolation); Hermiticity warnings only for None."""
+        (None or its InvariantViolation)."""
         out = []
         for start in range(0, len(times), TIME_BLOCK):
             block = times[start:start + TIME_BLOCK]
@@ -315,9 +306,7 @@ class EstimationSession:
                             _bounds(h[:, :, 0]), _cfi(u, du[:, :, 0], psi), defects))
         grid = GridEvaluation(times, psi, *(out[0] if len(out) == 1 else
                                             map(np.concatenate, zip(*out))))
-        verdicts = _check(grid, self.params)
-        self._warn_defects(times, grid.defects, verdicts, stacklevel=5)
-        return grid, verdicts
+        return grid, _check(grid, self.params)
 
     def _index(self, param: str) -> int:
         if param not in self.params:
@@ -325,10 +314,11 @@ class EstimationSession:
         return self.params.index(param)
 
     def generator_set(self, param: str, t: float) -> GeneratorSet:
+        """The generators of `param` at t, unchecked: their Hermiticity defect
+        is `presym_defect`, which `evaluate` bounds by PRESYM_TOL."""
         i = self._index(param)
         _check_times(t)
         _, _, h, defects = self._generators(np.array([t]))
-        self._warn_defects([t], defects, [None], stacklevel=4)
         return GeneratorSet(param, t, *h[0, i], presym_defect=float(defects[0, i]))
 
     def cfi(self, param: str, t: float, probe) -> float:
@@ -430,20 +420,27 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
 
 def _check(grid: GridEvaluation, params) -> list:
     """Per time: None, or the InvariantViolation of its first failing (param,
-    check): finite, decomposition identity, QFI in [0, bound], CFI below QFI."""
+    check): CFI defined (see `_cfi`), finite, decomposition identity, QFI in
+    [0, bound], CFI below QFI, generator Hermiticity defect within PRESYM_TOL."""
     total = grid.qfi[..., 0]
     defect = np.abs(total - grid.qfi[..., 1:].sum(axis=-1))
-    finite = np.isfinite(total) & np.isfinite(grid.bound) & np.isfinite(grid.cfi)
-    bad = np.array((~finite, defect > DECOMPOSITION_TOL, total < -1e-9,
+    finite = np.isfinite(total) & np.isfinite(grid.bound)
+    bad = np.array((finite & np.isnan(grid.cfi), ~(finite & np.isfinite(grid.cfi)),
+                    defect > DECOMPOSITION_TOL, total < -1e-9,
                     total > grid.bound + DECOMPOSITION_TOL,
-                    grid.cfi > total + DECOMPOSITION_TOL)).transpose(1, 2, 0)
+                    grid.cfi > total + DECOMPOSITION_TOL,
+                    grid.defects > PRESYM_TOL)).transpose(1, 2, 0)
     verdicts = [None] * len(grid.times)
     for j, i, kind in list(zip(*bad.nonzero()))[::-1]:  # each time's first failure last
         p, value, bound, cfi = params[i], total[j, i], grid.bound[j, i], grid.cfi[j, i]
-        message = (f"non-finite QFI {value}, bound {bound} or CFI {cfi} for {p!r}",
+        message = (f"CFI for {p!r} is undefined: an outcome with probability below "
+                   f"{CFI_PROB_FLOOR} has a derivative above 1e-6",
+                   f"non-finite QFI {value}, bound {bound} or CFI {cfi} for {p!r}",
                    f"QFI decomposition defect {defect[j, i]:.2e} for {p!r} exceeds "
                    f"{DECOMPOSITION_TOL}", f"negative QFI {value} for {p!r}",
                    f"QFI {value} exceeds its upper bound {bound} for {p!r}",
-                   f"CFI {cfi} exceeds QFI {value} for {p!r}")[kind]
+                   f"CFI {cfi} exceeds QFI {value} for {p!r}",
+                   f"generator Hermiticity defect {grid.defects[j, i]:.2e} for {p!r} "
+                   f"exceeds {PRESYM_TOL}")[kind]
         verdicts[j] = InvariantViolation(f"{message} at t={float(grid.times[j])!r}")
     return verdicts

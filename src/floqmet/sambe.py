@@ -196,15 +196,23 @@ def periodic_hamiltonian_from_timedomain(
 ) -> PeriodicHamiltonian:
     """Wrap a time-domain Hamiltonian into a PeriodicHamiltonian.
 
-    The Fourier components are frozen at construction; the resulting model's
-    params are opaque labels (no reconstruction on shift), so it is meant for
-    spectra and propagation rather than finite-difference pipelines.
+    The Fourier components are frozen at construction, so the model's params
+    other than "omega" are labels: asking for a component at another value of
+    one, as a derivative in it does, raises a ValueError naming it.  "omega"
+    moves only the k*omega ladder and the e^{i n omega t} phases.
     """
     components = fourier_components_from_timedomain(
         h_of_t, omega, max_harmonic, quad_points)
     levels = components[0].shape[0]
+    labels = {name: value for name, value in (params or {}).items() if name != "omega"}
 
-    def fourier_component(n, _params):
+    def fourier_component(n, at):
+        for name, value in labels.items():
+            if at[name] != value:
+                raise ValueError(
+                    f"parameter {name!r} of a time-domain wrapper is a label: its "
+                    f"Fourier components were sampled at {name}={value!r}, not "
+                    f"{at[name]!r}")
         if abs(n) > max_harmonic:
             return np.zeros((levels, levels), dtype=complex)
         return components[n]

@@ -1,9 +1,11 @@
 """Command-line harness tests."""
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floqmet import cli, spectral
+from floqmet import cli, metrology, spectral
 from floqmet.cli import (ScanSpec, fit_scaling, fmt17, main, parse_grid,
                          parse_probe, run_scan, scan_columns)
 
@@ -35,6 +37,10 @@ def test_parse_grid():
     np.testing.assert_allclose(parse_grid("0:1:5"), [0, 0.25, 0.5, 0.75, 1])
     with pytest.raises(ValueError):
         parse_grid("0:1:1")
+    for spec in ("1:2", "1:2:3:4", "1:x:3"):
+        with pytest.raises(ValueError,
+                           match=f"^'{spec}' is not of the form start:stop:points$"):
+            parse_grid(spec)
 
 
 def test_parse_probe():
@@ -44,6 +50,21 @@ def test_parse_probe():
     np.testing.assert_allclose(psi, np.array([1, 1j]) / math.sqrt(2))
     with pytest.raises(ValueError):
         parse_probe("0,0")
+    for spec in ("1,nan", "inf,0"):
+        with pytest.raises(ValueError,
+                           match=f"^probe '{spec}' has a non-finite amplitude$"):
+            parse_probe(spec)
+    with pytest.raises(ValueError, match=r"^probe .* has a non-finite amplitude$"):
+        cli._as_probe(np.array([1.0, math.nan]), 2)
+
+
+def test_non_finite_probe_is_a_row_error(tmp_path, capsys):
+    out = tmp_path / "qfi.csv"
+    assert main(["qfi", "--probe", "1,nan", "--ncut", "10", "--out", str(out)]) == 3
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "ValueError: probe '1,nan' has a non-finite amplitude"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_fmt17_roundtrips():
@@ -215,6 +236,65 @@ def test_scan_cli_failure_exit_code(tmp_path):
     assert len(lines) == 3
     assert lines[0].split(",") == scan_columns(
         ScanSpec(model="rashba", sweeps=[], fixed={}, times=[]))
+
+
+@pytest.mark.parametrize("jobs, points, workers", [
+    (64, 2, [2]), (2, 3, [2]), (8, 1, []), (1, 3, [])])
+def test_scan_starts_at_most_one_worker_per_point(jobs, points, workers,
+                                                  monkeypatch):
+    # a recording stand-in: no process is started
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    spec = ScanSpec(model="rashba", sweeps=[("b0", 0.4, 0.6, points)],
+                    fixed={"b1": 0.5, "omega": 1.0}, times=[1.0], n_cut=8, jobs=jobs)
+    rows, failures = run_scan(spec)
+    assert started == workers
+    assert failures == 0 and len(rows) == points
+
+
+@pytest.mark.parametrize("constant, value, message", [
+    ("PRESYM_TOL", 0.0, r"generator Hermiticity defect \S+ for 'b0' exceeds 0\.0"),
+    ("CFI_PROB_FLOOR", 0.6, r"CFI for 'b0' is undefined: an outcome with "
+                            r"probability below 0\.6 has a derivative above 1e-6"),
+], ids=["hermiticity", "undefined-cfi"])
+def test_verdicts_are_raised_and_written_to_their_rows(constant, value, message,
+                                                       monkeypatch):
+    # a verdict is raised by evaluate and estimation_report, and a scan writes
+    # each time's own on its row, serially and from worker processes (forked,
+    # so they see the patched constant)
+    monkeypatch.setattr(metrology, constant, value)
+    spec = ScanSpec(model="rashba", sweeps=[("b0", 0.4, 0.6, 2)],
+                    fixed={"b1": 0.5, "omega": 1.0}, times=[1.0, 2 * math.pi],
+                    n_cut=10)
+    session = metrology.EstimationSession(
+        cli.make_model("rashba", spec.grid_points()[0]), ["b0", "b1", "omega"], spec.n_cut)
+    with pytest.raises(metrology.InvariantViolation, match=f"^{message} at t=1.0$"):
+        session.evaluate(parse_probe("gs-h0"), spec.times)
+    with pytest.raises(metrology.InvariantViolation,
+                       match=f"^{message} at t={2 * math.pi!r}$"):
+        metrology.estimation_report(session.model, session.params, parse_probe("gs-h0"),
+                                    2 * math.pi, session=session)
+    for jobs in (1, 2):
+        spec.jobs = jobs
+        rows, failures = run_scan(spec)
+        assert failures == len(rows) == 4
+        for row in rows:
+            assert re.fullmatch(f"InvariantViolation: {message} at t={row['time']!r}",
+                                row["error"])
 
 
 def test_import_leaves_the_process_pool_out():
@@ -470,9 +550,15 @@ def test_bad_times_are_row_errors(argv, code, error, tmp_path):
      "t=nan must be finite and non-negative"),
     (["oracle-check", "--t", "nan", "--b0", "12", "--b1", "12", "--ncut", "16"],
      "t=nan must be finite and non-negative"),
+    (["scan", "--sweep", "b0"], "'b0' is not of the form PARAM=lo:hi:points"),
+    (["scan", "--sweep", "b0=1:2"], "'b0=1:2' is not of the form PARAM=lo:hi:points"),
+    (["qfi", "--t-grid", "1:2"], "'1:2' is not of the form start:stop:points"),
+    (["scan", "--sweep", "b0=0.4:0.6:2", "--jobs", "0"], "jobs=0 must be at least 1"),
+    (["scan", "--sweep", "b0=0.4:0.6:2", "--jobs", "-1"], "jobs=-1 must be at least 1"),
 ], ids=["converge-20,10", "converge-10,8", "converge-8,8", "converge-0,8",
         "stepsize-b9", "stepsize-3-amplitudes", "converge-b9", "scaling-b9",
-        "evolve-nan", "oracle-check-nan"])
+        "evolve-nan", "oracle-check-nan", "sweep-without-grid", "sweep-two-fields",
+        "t-grid-two-fields", "jobs-0", "jobs-minus-1"])
 def test_bad_inputs_are_named(argv, message, capsys, monkeypatch):
     def eigh(*_args, **_kwargs):
         raise AssertionError("diagonalized before the input was checked")

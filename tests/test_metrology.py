@@ -1,6 +1,5 @@
 """Estimation pipeline tests: generators, QFI, CFI, incompatibility."""
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ from floqmet.models import (SIGMA_X, SIGMA_Y, SIGMA_Z, RashbaModel,
 from floqmet.reference import OracleConfig, generator_direct, propagate_direct
 from floqmet.propagator import (averaged_probability_shirley, evolve,
                                 transition_probability)
-from floqmet.sambe import PeriodicHamiltonian, build_floquet_matrix
+from floqmet.sambe import (PeriodicHamiltonian, build_floquet_matrix,
+                           periodic_hamiltonian_from_timedomain)
 from floqmet.spectral import TruncationError, amplitude_table, diagonalize
 
 PROBE = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
@@ -77,6 +77,22 @@ def test_spectator_parameter_gives_zero_qfi():
     gen = EstimationSession(model, ["idle"], n_cut=2).generator_set("idle", 1.0)
     np.testing.assert_allclose(gen.total, 0, atol=1e-9)
     assert qfi(gen, 0).qfi_total == pytest.approx(0.0, abs=1e-9)
+
+
+def test_timedomain_wrapper_refuses_derivatives_in_its_labels():
+    # the wrapper's b0 and b1 are labels of frozen components: a derivative in
+    # one is refused, not read as 0; omega moves the ladder and stays exact
+    model = RashbaModel(1.0, 0.8, 1.0)
+    wrapped = periodic_hamiltonian_from_timedomain(
+        model.h_at, 1.0, 1, params={"b0": 1.0, "b1": 0.8, "omega": 1.0})
+    for param in ("b0", "b1"):
+        with pytest.raises(ValueError, match=(
+                f"^parameter '{param}' of a time-domain wrapper is a label")):
+            EstimationSession(wrapped, ["omega", param], n_cut=20)
+    qfis = [EstimationSession(m, ["omega"], n_cut=20).evaluate(0, [PERIOD]).qfi[0, 0, 0]
+            for m in (wrapped, model.hamiltonian())]
+    assert qfis[0] == pytest.approx(qfis[1], rel=1e-10)
+    assert qfis[0] == pytest.approx(170.31, abs=0.01)
 
 
 def test_static_model_generator_is_textbook():
@@ -399,14 +415,13 @@ def test_exact_sambe_degeneracies_are_finite():
     cases = [(static, "a", SIGMA_X)] + [
         (RashbaModel(0.0, b1, 1.0).hamiltonian(), "b1", -SIGMA_X)
         for b1 in (0.5, 1.0)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for model, param, direction in cases:
-            session = EstimationSession(model, [param], n_cut=10)
-            for t in (1.3, PERIOD, 3 * PERIOD):
-                gen = session.generator_set(param, t)
-                np.testing.assert_allclose(gen.total, t * direction,
-                                           rtol=0, atol=1e-12)
+    for model, param, direction in cases:
+        session = EstimationSession(model, [param], n_cut=10)
+        for t in (1.3, PERIOD, 3 * PERIOD):
+            gen = session.generator_set(param, t)
+            assert gen.presym_defect <= 1e-12
+            np.testing.assert_allclose(gen.total, t * direction,
+                                       rtol=0, atol=1e-12)
 
 
 def random_drive(levels, max_harmonic, seed):
@@ -656,16 +671,27 @@ def test_empty_time_grid_is_named():
         session.evaluate(PROBE, [])
 
 
-def test_cfi_drops_vanishing_outcomes_with_a_warning():
-    # P_1 = 1e-14 is below the floor while dP_1 = 2e-6 is not: dropped, named
+def test_cfi_with_a_vanishing_outcome_is_an_undefined_verdict(monkeypatch):
+    # for b0, P_1 = 1e-14 is below the floor while dP_1 = 2e-6 is not: the true
+    # term 4 (d|a_1|)^2 = 400 cannot be read from P and dP, so b0's CFI is
+    # undefined; for b1, dP_1 = 0 and the outcome drops out
     psi = np.array([1.0, 0.0], dtype=complex)
     u = np.array([[[1.0, 0.0], [1e-7, 1.0]]], dtype=complex)
     du = np.zeros((1, 2, 2, 2), dtype=complex)
     du[0, :, 1, 0] = 10.0, 0.0
     du[0, :, 0, 0] = 0.5
-    with pytest.warns(UserWarning, match="P=1.0e-14 but dP=2.0e-06 dropped"):
-        fisher = metrology._cfi(u, du, psi)
-    np.testing.assert_allclose(fisher, [[1.0, 1.0]], rtol=1e-12)
+    fisher = metrology._cfi(u, du, psi)
+    assert np.isnan(fisher[0, 0]) and fisher[0, 1] == pytest.approx(1.0, rel=1e-12)
+
+    session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
+                                ["b0", "b1"], n_cut=10)
+    parts = np.zeros((1, 2, 4, 2, 2), dtype=complex)
+    parts[:, :, 0] = parts[:, :, 1] = du                # all eigenmode
+    monkeypatch.setattr(session, "_derivatives", lambda times: (u, parts))
+    with pytest.raises(InvariantViolation, match=(
+            r"^CFI for 'b0' is undefined: an outcome with probability below 1e-12 "
+            r"has a derivative above 1e-6 at t=1\.0$")):
+        session.evaluate(psi, [1.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
