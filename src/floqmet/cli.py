@@ -18,8 +18,7 @@ import numpy as np
 
 from . import models as mdl
 from .metrology import (DEFAULT_N_CUT, DEFAULT_SMOOTH_WINDOW, EstimationSession,
-                        InvariantViolation, _as_probe, _gram,
-                        estimation_report, local_mean)
+                        InvariantViolation, _as_probe, _gram, local_mean)
 from .models import RashbaModel, RotatingFieldModel
 from .propagator import evolve
 from .reference import OracleConfig, propagate_direct, unitarity_defect
@@ -49,16 +48,19 @@ def make_model(name: str, values: dict):
 
 
 def parse_probe(spec: str) -> np.ndarray:
-    """Probe spec: 'gs-h0' or comma-separated complex amplitudes."""
+    """Probe spec: 'gs-h0' or comma-separated complex amplitudes, scaled by the
+    largest |amplitude| before normalizing, so the norm neither overflows nor
+    underflows."""
     if spec == "gs-h0":
         return mdl.GROUND_PROBE.copy()
     amps = np.array([complex(tok) for tok in spec.split(",")])
     if not np.isfinite(amps).all():
         raise ValueError(f"probe {spec!r} has a non-finite amplitude")
-    norm = np.linalg.norm(amps)
-    if norm == 0:
+    scale = np.abs(amps).max()
+    if scale == 0:
         raise ValueError("probe amplitudes are all zero")
-    return amps / norm
+    amps = amps / scale
+    return amps / np.linalg.norm(amps)
 
 
 def _grid_spec(spec: str, grid: str, form: str) -> tuple[float, float, int]:
@@ -128,13 +130,12 @@ class ScanSpec:
         return points
 
 
-def _scan_point(args) -> list[dict]:
-    """One row per time of a grid point, from one session and one evaluation of
-    the valid times.  A bad time or a failed invariant is the error of its row;
-    a failed session or probe that of every row, a failed evaluation of its rows."""
-    spec, values = args
-    params = list(MODEL_PARAMS[spec.model])
-    rows = [dict({name: values[name] for name in params}, time=t,
+def _scan_point(task) -> list[dict]:
+    """One row per time of a grid point, estimating `params` from one session and
+    one evaluation of the valid times.  Each row's error is None or an exception,
+    its own time's or invariant's, or the failed session's, probe's or evaluation's."""
+    spec, values, params = task
+    rows = [dict({name: values[name] for name in MODEL_PARAMS[spec.model]}, time=t,
                  n_cut=spec.n_cut, probe=spec.probe, error=error)
             for t, error in zip(spec.times, _time_errors(spec.times))]
     valid = [row for row in rows if row["error"] is None]
@@ -156,9 +157,16 @@ def _scan_point(args) -> list[dict]:
                 for k, q in enumerate(params[i + 1:], i + 1):
                     row[f"omega_{p}_{q}"] = grid.omega[j, i, k]
                     row[f"qfim_{p}_{q}"] = grid.qfim[j, i, k]
-    for row in rows:
-        error = row["error"]
-        row["error"] = f"{type(error).__name__}: {error}" if error else ""
+    return rows
+
+
+def _point_rows(spec: ScanSpec, params) -> list[dict]:
+    """The rows of the point `spec.fixed`, estimating `params`; raises the first
+    row error, a bad input before a failed invariant, as `evaluate` would."""
+    rows = _scan_point((spec, spec.fixed, params))
+    errors = [row["error"] for row in rows if row["error"] is not None]
+    if errors:
+        raise min(errors, key=lambda e: isinstance(e, InvariantViolation))
     return rows
 
 
@@ -177,7 +185,7 @@ def run_scan(spec: ScanSpec) -> tuple[list[dict], int]:
     one worker process per grid point."""
     if spec.jobs < 1:
         raise ValueError(f"jobs={spec.jobs} must be at least 1")
-    tasks = [(spec, values) for values in spec.grid_points()]
+    tasks = [(spec, values, MODEL_PARAMS[spec.model]) for values in spec.grid_points()]
     workers = min(spec.jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
@@ -186,6 +194,9 @@ def run_scan(spec: ScanSpec) -> tuple[list[dict], int]:
     else:
         per_point = [_scan_point(task) for task in tasks]
     rows = [row for point_rows in per_point for row in point_rows]
+    for row in rows:
+        error = row["error"]
+        row["error"] = "" if error is None else f"{type(error).__name__}: {error}"
     failures = sum(1 for row in rows if row["error"])
     return rows, failures
 
@@ -197,17 +208,19 @@ class ScalingFit:
     times: np.ndarray = field(repr=False)
     exponent: float = 0.0
     r_squared: float = 0.0
-    window: str = "raw"
 
 
 def fit_scaling(times, values, window: str = "raw",
                 smooth_window: int = DEFAULT_SMOOTH_WINDOW) -> ScalingFit:
-    """Fit of the positive values; the fit's `times` are the times kept."""
+    """Fit of the positive values, at least 2; the fit's `times` are the times kept."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if window == "local-mean":
         values = local_mean(values, smooth_window)
     keep = values > 0
+    if keep.sum() < 2:
+        raise ValueError(f"a scaling fit needs at least 2 positive values, "
+                         f"got {keep.sum()} of {values.size}")
     x = np.log(times[keep])
     y = np.log(values[keep])
     slope, intercept = np.polyfit(x, y, 1)
@@ -215,8 +228,7 @@ def fit_scaling(times, values, window: str = "raw",
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ScalingFit(times=times[keep], exponent=float(slope), r_squared=r2,
-                      window=window)
+    return ScalingFit(times=times[keep], exponent=float(slope), r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +249,30 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
-    model = make_model(args.model, _model_values(args))
+def _propagators(args):
+    """The physical model of `args` and (t, `evolve` sample) at each of its times,
+    from one certified spectrum: a bad time or an under-truncated spectrum raises
+    before any sample is taken."""
+    model = _physical_model(args.model, _model_values(args))
     times = _times(args)
     _check_times(times)
-    spectrum = diagonalize(build_floquet_matrix(model, args.ncut))
+    spectrum = diagonalize(build_floquet_matrix(model.hamiltonian(), args.ncut))
+    return model, [(t, evolve(spectrum, t)) for t in times]
+
+
+def cmd_evolve(args) -> int:
     rows = []
-    for t in times:
-        sample = evolve(spectrum, t)
+    for t, sample in _propagators(args)[1]:
         row = {"time": t, "truncation_defect": sample.truncation_defect}
-        for g in range(model.levels):
-            for b in range(model.levels):
-                row[f"re_u_{g}{b}"] = float(sample.u_matrix[g, b].real)
-                row[f"im_u_{g}{b}"] = float(sample.u_matrix[g, b].imag)
+        for (g, b), u in np.ndenumerate(sample.u_matrix):
+            row[f"re_u_{g}{b}"], row[f"im_u_{g}{b}"] = float(u.real), float(u.imag)
         rows.append(row)
     write_table(rows, list(rows[0]), args.out, args.format)
     return EXIT_OK
 
 
 def cmd_qfi(args) -> int:
-    spec = _scan_spec(args, sweeps=[])
+    spec = _scan_spec(args, _times(args), args.ncut)
     rows, failures = run_scan(spec)
     write_table(rows, scan_columns(spec), args.out, args.format)
     if any("InvariantViolation" in row["error"] for row in rows):
@@ -266,7 +282,7 @@ def cmd_qfi(args) -> int:
 
 def cmd_scan(args) -> int:
     sweeps = [_parse_sweep(s) for s in args.sweep]
-    spec = _scan_spec(args, sweeps=sweeps, jobs=args.jobs)
+    spec = _scan_spec(args, _times(args), args.ncut, sweeps, args.jobs)
     rows, failures = run_scan(spec)
     write_table(rows, scan_columns(spec), args.out, args.format)
     return EXIT_POINT_FAILURES if failures else EXIT_OK
@@ -275,41 +291,32 @@ def cmd_scan(args) -> int:
 def cmd_scaling(args) -> int:
     if not args.t_grid:
         raise ValueError("scaling needs --t-grid")
-    model = make_model(args.model, _model_values(args))
-    times = _times(args)
-    if len(times) < 8:
+    spec = _scan_spec(args, _times(args), args.ncut)
+    if len(spec.times) < 8:
         raise ValueError("scaling needs at least 8 time points")
-    probe = parse_probe(args.probe)
-    session = EstimationSession(model, [args.param], args.ncut)
-    qfis = session.evaluate(probe, times).qfi[:, 0, 0]
-    fit = fit_scaling(times, qfis, window=args.window,
+    qfis = [row[f"qfi_{args.param}"] for row in _point_rows(spec, [args.param])]
+    fit = fit_scaling(spec.times, qfis, window=args.window,
                       smooth_window=args.smooth_window)
     rows = [{"param": args.param, "exponent": fit.exponent,
-             "r_squared": fit.r_squared, "window": fit.window,
+             "r_squared": fit.r_squared, "window": args.window,
              "points": len(fit.times), "n_cut": args.ncut}]
     write_table(rows, list(rows[0]), args.out, args.format)
     return EXIT_OK
 
 
 def cmd_converge(args) -> int:
-    model = make_model(args.model, _model_values(args))
-    probe = parse_probe(args.probe)
     params = args.param or list(MODEL_PARAMS[args.model])
     n_cuts = [int(n) for n in args.ncuts.split(",")]
     if any(b <= a for a, b in zip(n_cuts, n_cuts[1:])):
         raise ValueError(f"n_cuts must be strictly increasing, got {n_cuts}")
+    points = [_point_rows(_scan_spec(args, [args.t], n), params)[0] for n in n_cuts]
     rows = []
-    previous: dict[str, float] = {}
-    for n in n_cuts:
-        report = estimation_report(model, params, probe, args.t, n_cut=n)
-        row = {"n_cut": n}
+    for point, previous in zip(points, [{}] + points):
+        row = {"n_cut": point["n_cut"]}
         for p in params:
-            value = report.estimates[p].qfi_total
+            value, last = point[f"qfi_{p}"], previous.get(f"qfi_{p}")
             row[f"qfi_{p}"] = value
-            row[f"rel_change_{p}"] = (abs(value - previous[p]) / abs(previous[p])
-                                      if p in previous and previous[p] != 0
-                                      else float("nan"))
-            previous[p] = value
+            row[f"rel_change_{p}"] = abs(value - last) / abs(last) if last else float("nan")
         rows.append(row)
     write_table(rows, list(rows[0]), args.out, args.format)
     return EXIT_OK
@@ -373,14 +380,10 @@ def cmd_phase(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    model = _physical_model(args.model, _model_values(args))
-    times = _times(args)
-    _check_times(times)
-    spectrum = diagonalize(build_floquet_matrix(model.hamiltonian(), args.ncut))
+    model, samples = _propagators(args)
     cfg = OracleConfig(step_count=args.steps, scheme=args.scheme)
     rows = []
-    for t in times:
-        sample = evolve(spectrum, t)
+    for t, sample in samples:
         u_d = propagate_direct(model.h_at, t, cfg)
         rows.append({"time": t,
                      "max_diff": float(np.max(np.abs(sample.u_matrix - u_d))),
@@ -417,13 +420,12 @@ def _times(args) -> list[float]:
     return [args.t]
 
 
-def _scan_spec(args, sweeps, jobs: int = 1) -> ScanSpec:
-    names = MODEL_PARAMS[args.model]
+def _scan_spec(args, times, n_cut, sweeps=(), jobs: int = 1) -> ScanSpec:
     values = _model_values(args)
-    fixed = {n: values[n] for n in names}
+    fixed = {n: values[n] for n in MODEL_PARAMS[args.model]}
     return ScanSpec(
-        model=args.model, sweeps=sweeps, fixed=fixed, times=_times(args),
-        n_cut=args.ncut, probe=args.probe, jobs=jobs)
+        model=args.model, sweeps=list(sweeps), fixed=fixed, times=times,
+        n_cut=n_cut, probe=args.probe, jobs=jobs)
 
 
 class _AppendOverDefault(argparse._AppendAction):

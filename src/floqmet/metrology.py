@@ -221,6 +221,9 @@ class EstimationSession:
                  n_cut: int = DEFAULT_N_CUT):
         self.model = model
         self.params = list(params)
+        if len(set(self.params)) < len(self.params):
+            repeats = sorted({p for p in self.params if self.params.count(p) > 1})
+            raise ValueError(f"params {self.params} repeat {repeats}")
         self.n_cut = n_cut
         d_h = _drive_derivatives(model, self.params)    # before any Sambe work
         self.center = diagonalize(build_floquet_matrix(model, n_cut))

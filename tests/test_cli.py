@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,22 @@ def test_non_finite_probe_is_a_row_error(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("probe", ["1e200,1e200", "1e-200,1e-200"])
+def test_probe_scale_leaves_the_estimates(probe, tmp_path, capsys):
+    # the norm of the amplitudes neither overflows nor underflows
+    rows = {}
+    for spec in (probe, "1,1"):
+        out = tmp_path / "qfi.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["qfi", "--probe", spec, "--ncut", "10", "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            (rows[spec],) = csv.DictReader(fh)
+        assert rows[spec].pop("probe") == spec
+    assert rows[probe] == rows["1,1"]
+    assert capsys.readouterr() == ("", "")
+
+
 def test_fmt17_roundtrips():
     for x in (1 / 3, 82.6732675800525, 1e-300, -0.0):
         assert float(fmt17(x)) == x
@@ -78,6 +95,13 @@ def test_fit_scaling_recovers_power_law():
     fit = fit_scaling(times, 2.5 * times ** 3.2)
     assert fit.exponent == pytest.approx(3.2, abs=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("values, kept", [([0.0] * 8, 0), ([0.0] * 7 + [3.0], 1)])
+def test_fit_scaling_needs_two_positive_values(values, kept):
+    with pytest.raises(ValueError, match="^a scaling fit needs at least 2 positive "
+                                         f"values, got {kept} of 8$"):
+        fit_scaling(np.arange(1.0, 9.0), values)
 
 
 def test_units_command(tmp_path):
@@ -141,6 +165,65 @@ def test_scan_point_evaluates_its_times_once(monkeypatch):
     rows, failures = run_scan(spec)
     assert failures == 0 and len(rows) == 15
     assert calls == [5, 5, 5]
+
+
+@pytest.mark.parametrize("argv, n_cuts", [
+    (["qfi", "--t-grid", "1:3:3", "--ncut", "10"], [10]),
+    (["scan", "--sweep", "b0=0.4:0.6:3", "--t-grid", "1:3:3", "--ncut", "10"],
+     [10, 10, 10]),
+    (["converge", "--ncuts", "8,10,12"], [8, 10, 12]),
+    (["scaling", "--param", "b0", "--t-grid", "1:8:8", "--ncut", "10"], [10]),
+], ids=["qfi", "scan", "converge", "scaling"])
+def test_estimation_subcommands_share_one_row_path(argv, n_cuts, monkeypatch,
+                                                   tmp_path):
+    # one time-grid evaluation per point and n_cut, never a report or evaluate
+    calls = []
+    real_grid = metrology.EstimationSession._grid
+
+    def grid(self, psi, times):
+        calls.append(self.n_cut)
+        return real_grid(self, psi, times)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("left the row path")
+
+    monkeypatch.setattr(metrology.EstimationSession, "_grid", grid)
+    monkeypatch.setattr(metrology.EstimationSession, "evaluate", refuse)
+    monkeypatch.setattr(metrology, "estimation_report", refuse)
+    assert not hasattr(cli, "estimation_report")
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == n_cuts
+
+
+def test_converge_rows_are_qfi_rows(tmp_path):
+    # the default converge table reads each n_cut's value off the qfi row
+    out = tmp_path / "conv.csv"
+    assert main(["converge", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["n_cut"] for row in rows] == ["10", "20", "30", "40", "50", "51"]
+    for row in rows:
+        assert main(["qfi", "--ncut", row["n_cut"], "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            (point,) = csv.DictReader(fh)
+        for p in cli.MODEL_PARAMS["rashba"]:
+            assert row[f"qfi_{p}"] == point[f"qfi_{p}"]
+
+
+def test_scan_failures_cross_the_process_pool(tmp_path):
+    # (12, 12) is under-truncated and (1, 12) has a bad time: each row's error
+    # is an exception until run_scan writes it, from workers as serially
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"scan{jobs}.csv"
+        assert main(["scan", "--sweep", "b0=1:12:2", "--b1", "12", "--ncut", "16",
+                     "--t-grid=-1:6:3", "--jobs", jobs, "--out", str(out)]) == 3
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    with (tmp_path / "scan1.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"].split(":")[0] for row in rows] == [
+        "ValueError", "", "", "TruncationError", "TruncationError", "TruncationError"]
 
 
 def test_bad_times_and_failed_invariants_are_their_own_rows(tmp_path):
@@ -348,6 +431,24 @@ def test_oracle_check_refuses_under_truncation(monkeypatch, capsys):
     assert "n_cut=16 is too small" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--t-grid", "1:3:3", "--ncut", "10"],
+    ["oracle-check", "--t-grid", "1:3:3", "--ncut", "10", "--steps", "64"],
+], ids=["evolve", "oracle-check"])
+def test_propagator_subcommands_diagonalize_once(argv, monkeypatch, tmp_path):
+    calls = []
+
+    def diagonalize(matrix):
+        calls.append(matrix.n_cut)
+        return spectral.diagonalize(matrix)
+
+    monkeypatch.setattr(cli, "diagonalize", diagonalize)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert calls == [10]
+    assert len(out.read_text().splitlines()) == 4
+
+
 def test_evolve_flags_under_truncation(tmp_path, capsys):
     out = tmp_path / "evolve.csv"
     assert exit_code(["evolve", "--b0", "12", "--b1", "12", "--ncut", "16",
@@ -512,6 +613,9 @@ def test_config_sweep_is_a_list_the_command_line_replaces(tmp_path):
     ["evolve", "--t", "nan"],
     ["evolve", "--t", "inf"],
     ["oracle-check", "--steps", "100", "--t", "nan"],
+    # every QFI of omega is 0 at b0 = 0: no power law to fit
+    ["scaling", "--param", "omega", "--b0", "0", "--b1", "1", "--t-grid", "1:8:8",
+     "--ncut", "10"],
 ])
 def test_input_guards_exit_with_code_2(argv, capsys):
     assert exit_code(argv) == 2
@@ -555,10 +659,11 @@ def test_bad_times_are_row_errors(argv, code, error, tmp_path):
     (["qfi", "--t-grid", "1:2"], "'1:2' is not of the form start:stop:points"),
     (["scan", "--sweep", "b0=0.4:0.6:2", "--jobs", "0"], "jobs=0 must be at least 1"),
     (["scan", "--sweep", "b0=0.4:0.6:2", "--jobs", "-1"], "jobs=-1 must be at least 1"),
+    (["converge", "--param", "b0", "--param", "b0"], "params ['b0', 'b0'] repeat ['b0']"),
 ], ids=["converge-20,10", "converge-10,8", "converge-8,8", "converge-0,8",
         "stepsize-b9", "stepsize-3-amplitudes", "converge-b9", "scaling-b9",
         "evolve-nan", "oracle-check-nan", "sweep-without-grid", "sweep-two-fields",
-        "t-grid-two-fields", "jobs-0", "jobs-minus-1"])
+        "t-grid-two-fields", "jobs-0", "jobs-minus-1", "converge-repeated-param"])
 def test_bad_inputs_are_named(argv, message, capsys, monkeypatch):
     def eigh(*_args, **_kwargs):
         raise AssertionError("diagonalized before the input was checked")
@@ -574,6 +679,14 @@ def test_stepsize_study_rejects_unnormalized_probe():
     with pytest.raises(ValueError, match="probe state is not normalized"):
         cli.stepsize_study(model, "b0", np.array([1.0, 1.0]), 2 * math.pi,
                            [1e-6, 1e-3], 10)
+
+
+def test_scaling_names_a_bad_time_before_a_failed_invariant(capsys):
+    # t = 1e300 fails an invariant and t = -1 is a bad input, which is named
+    # first, as evaluate checks its times before it evaluates
+    assert exit_code(["scaling", "--param", "b0", "--t-grid=1e300:-1:8",
+                      "--ncut", "10"]) == 2
+    assert capsys.readouterr() == ("", "error: t=-1.0 must be finite and non-negative\n")
 
 
 def test_converge_reports_under_truncation(capsys):

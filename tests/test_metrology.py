@@ -199,6 +199,15 @@ def test_unknown_parameter_is_named(monkeypatch):
             call()
 
 
+def test_repeated_parameters_are_refused(monkeypatch):
+    # a repeated parameter would duplicate rows of the QFI matrix
+    monkeypatch.setattr(metrology, "_drive_derivatives", None)  # refused before it
+    with pytest.raises(ValueError,
+                       match=r"^params \['b0', 'b1', 'b0'\] repeat \['b0'\]$"):
+        EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
+                          ["b0", "b1", "b0"], n_cut=10)
+
+
 def test_probe_normalization_enforced():
     session = EstimationSession(RashbaModel(0.5, 0.5, 1.0).hamiltonian(),
                                 ["b0"], n_cut=10)
