@@ -28,6 +28,7 @@ from .spectral import diagonalize
 EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_POINT_FAILURES = 3
+ROUNDOFF_QFI = 1e-12  # a QFI below this fraction of its bound is roundoff
 
 MODEL_PARAMS = {"rashba": ("b0", "b1", "omega"), "rotating": ("b", "omega")}
 # per-parameter scan columns, read from GridEvaluation qfi[j, i], bound and cfi
@@ -113,7 +114,7 @@ class ScanSpec:
     sweeps: list[tuple[str, float, float, int]]
     fixed: dict
     times: list[float]
-    n_cut: int = DEFAULT_N_CUT
+    n_cut: int | str = DEFAULT_N_CUT
     probe: str = "gs-h0"
     jobs: int = 1
 
@@ -132,31 +133,36 @@ class ScanSpec:
 
 def _scan_point(task) -> list[dict]:
     """One row per time of a grid point, estimating `params` from one session and
-    one evaluation of the valid times.  Each row's error is None or an exception,
-    its own time's or invariant's, or the failed session's, probe's or evaluation's."""
+    one evaluation of the valid times; no session when no time is valid.  Each
+    row's error is None or an exception, its own time's or invariant's, or the
+    failed session's, probe's or evaluation's.  A built session writes the n_cut
+    it used and its modes' edge weight on every row."""
     spec, values, params = task
     rows = [dict({name: values[name] for name in MODEL_PARAMS[spec.model]}, time=t,
                  n_cut=spec.n_cut, probe=spec.probe, error=error)
             for t, error in zip(spec.times, _time_errors(spec.times))]
     valid = [row for row in rows if row["error"] is None]
+    if not valid:
+        return rows
     try:
         session = EstimationSession(make_model(spec.model, values), params, spec.n_cut)
         psi = _as_probe(parse_probe(spec.probe), session.model.levels)
     except Exception as exc:  # per-point failure: record, keep scanning
-        rows, valid = [dict(row, error=exc) for row in rows], []
-    if valid:
-        try:
-            grid, verdicts = session._grid(psi, np.array([row["time"] for row in valid]))
-        except Exception as exc:  # on every row the evaluation would fill
-            grid, verdicts = None, [exc] * len(valid)
-        for j, (row, verdict) in enumerate(zip(valid, verdicts)):
-            row["error"] = verdict
-            for i, p in enumerate(params if verdict is None else ()):
-                row.update(zip((col.format(p) for col in ESTIMATE_COLUMNS),
-                               [*grid.qfi[j, i], grid.bound[j, i], grid.cfi[j, i]]))
-                for k, q in enumerate(params[i + 1:], i + 1):
-                    row[f"omega_{p}_{q}"] = grid.omega[j, i, k]
-                    row[f"qfim_{p}_{q}"] = grid.qfim[j, i, k]
+        return [dict(row, error=exc) for row in rows]
+    for row in rows:
+        row.update(n_cut=session.center.n_cut, edge_weight=session.center.edge_weight)
+    try:
+        grid, verdicts = session._grid(psi, np.array([row["time"] for row in valid]))
+    except Exception as exc:  # on every row the evaluation would fill
+        grid, verdicts = None, [exc] * len(valid)
+    for j, (row, verdict) in enumerate(zip(valid, verdicts)):
+        row["error"] = verdict
+        for i, p in enumerate(params if verdict is None else ()):
+            row.update(zip((col.format(p) for col in ESTIMATE_COLUMNS),
+                           [*grid.qfi[j, i], grid.bound[j, i], grid.cfi[j, i]]))
+            for k, q in enumerate(params[i + 1:], i + 1):
+                row[f"omega_{p}_{q}"] = grid.omega[j, i, k]
+                row[f"qfim_{p}_{q}"] = grid.qfim[j, i, k]
     return rows
 
 
@@ -176,7 +182,7 @@ def scan_columns(spec: ScanSpec) -> list[str]:
     cols += [col.format(p) for p in names for col in ESTIMATE_COLUMNS]
     pairs = [f"{l}_{lp}" for i, l in enumerate(names) for lp in names[i + 1:]]
     cols += [f"omega_{pair}" for pair in pairs] + [f"qfim_{pair}" for pair in pairs]
-    cols += ["n_cut", "probe", "error"]
+    cols += ["n_cut", "edge_weight", "probe", "error"]
     return cols
 
 
@@ -242,6 +248,8 @@ def _model_values(args) -> dict:
 def cmd_build(args) -> int:
     model = make_model(args.model, _model_values(args))
     matrix = build_floquet_matrix(model, args.ncut)
+    if matrix.model is not None:  # "auto": the matrix at the n_cut it resolves to
+        matrix = build_floquet_matrix(model, diagonalize(matrix).n_cut)
     rows = [{"dim": matrix.dim, "n_cut": matrix.n_cut, "levels": matrix.levels,
              "omega": matrix.omega,
              "hermiticity_defect": matrix.hermiticity_defect()}]
@@ -294,12 +302,16 @@ def cmd_scaling(args) -> int:
     spec = _scan_spec(args, _times(args), args.ncut)
     if len(spec.times) < 8:
         raise ValueError("scaling needs at least 8 time points")
-    qfis = [row[f"qfi_{args.param}"] for row in _point_rows(spec, [args.param])]
-    fit = fit_scaling(spec.times, qfis, window=args.window,
-                      smooth_window=args.smooth_window)
-    rows = [{"param": args.param, "exponent": fit.exponent,
+    p, point = args.param, _point_rows(spec, [args.param])
+    fit = fit_scaling(spec.times, [row[f"qfi_{p}"] for row in point],
+                      window=args.window, smooth_window=args.smooth_window)
+    kept = [row for row in point if row["time"] in fit.times]
+    if all(row[f"qfi_{p}"] < ROUNDOFF_QFI * row[f"bound_{p}"] for row in kept):
+        raise ValueError(f"every fitted qfi_{p} is below {ROUNDOFF_QFI:g} of its "
+                         f"bound_{p}: roundoff, not a power law")
+    rows = [{"param": p, "exponent": fit.exponent,
              "r_squared": fit.r_squared, "window": args.window,
-             "points": len(fit.times), "n_cut": args.ncut}]
+             "points": len(fit.times), "n_cut": point[0]["n_cut"]}]
     write_table(rows, list(rows[0]), args.out, args.format)
     return EXIT_OK
 
@@ -325,15 +337,17 @@ def cmd_converge(args) -> int:
 def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
     """QFI(delta) from a central difference of the Floquet propagator
     `evolve` (the reports themselves differentiate exactly), plus a 5-point
-    local standard deviation per delta."""
+    local standard deviation per delta.  Every shifted spectrum is built at
+    the n_cut that x0's resolves to, so no difference straddles two."""
     x0, psi = _param_value(model, param), _as_probe(probe, model.levels)
+    center = diagonalize(build_floquet_matrix(model, n_cut))
 
     def u_at(x):
         spectrum = diagonalize(build_floquet_matrix(
-            model.with_params(**{param: x}), n_cut))
+            model.with_params(**{param: x}), center.n_cut))
         return evolve(spectrum, t).u_matrix
 
-    u0_dag = u_at(x0).conj().T
+    u0_dag = evolve(center, t).u_matrix.conj().T
     h = np.array([1j * u0_dag @ (u_at(x0 + d) - u_at(x0 - d)) / (2 * d)
                   for d in deltas])
     values = _gram(0.5 * (h + h.conj().swapaxes(1, 2))[:, None], psi)[1][:, 0, 0]
@@ -414,6 +428,17 @@ def _parse_sweep(spec: str) -> tuple[str, float, float, int]:
     return name, lo, hi, points
 
 
+def parse_n_cut(text: str) -> int | str:
+    """--ncut value: 'auto' or an integer."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer or 'auto'") from None
+
+
 def _times(args) -> list[float]:
     if args.t_grid:
         return [float(t) for t in parse_grid(args.t_grid)]
@@ -458,7 +483,7 @@ SHARED_FLAGS = {
     "--b1": dict(type=float, default=0.5),
     "--b": dict(type=float, default=0.5),
     "--omega": dict(type=float, default=1.0),
-    "--ncut": dict(type=int, default=DEFAULT_N_CUT),
+    "--ncut": dict(type=parse_n_cut, default=DEFAULT_N_CUT),
     "--probe": dict(default="gs-h0"),
     "--t": dict(type=float, default=2 * math.pi),
     "--t-grid": dict(default=None, help="start:stop:points time grid"),

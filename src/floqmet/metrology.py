@@ -48,7 +48,7 @@ import numpy as np
 from .sambe import PeriodicHamiltonian, _check_times, _param_value, build_floquet_matrix
 from .spectral import diagonalize
 
-DEFAULT_N_CUT = 50
+DEFAULT_N_CUT = "auto"  # grown until resolved: see spectral.diagonalize
 DEFAULT_SMOOTH_WINDOW = 21
 DECOMPOSITION_TOL = 1e-6
 PRESYM_TOL = 1e-4
@@ -215,10 +215,11 @@ class GridEvaluation:
 
 class EstimationSession:
     """One diagonalization per model point, reused across times: the N
-    physical Floquet modes and each parameter's replica couplings."""
+    physical Floquet modes and each parameter's replica couplings.  `n_cut`
+    is kept as given ("auto" or an integer); `center.n_cut` is the one used."""
 
     def __init__(self, model: PeriodicHamiltonian, params,
-                 n_cut: int = DEFAULT_N_CUT):
+                 n_cut: int | str = DEFAULT_N_CUT):
         self.model = model
         self.params = list(params)
         if len(set(self.params)) < len(self.params):
@@ -230,7 +231,7 @@ class EstimationSession:
         phi, k, eps = self.center.phi, self.center.k, self.center.quasienergies
         self._u0_dag = self.center.u0.conj().T
         self._ku0_dag = np.tensordot(k, phi, axes=(0, 0)).conj().T
-        reach = 2 * n_cut + model.max_harmonic
+        reach = 2 * self.center.n_cut + model.max_harmonic
         shifts = np.arange(-reach, reach + 1)
         couplings = _replica_couplings(phi, k, d_h, self.params, shifts)
         self._d_eps = np.diagonal(couplings[:, reach], axis1=1, axis2=2)
@@ -366,7 +367,7 @@ class EstimationReport:
     qfim: np.ndarray = field(repr=False)  # QFI matrix over the params, in order
     probe: np.ndarray = field(repr=False)
     time: float = 0.0
-    n_cut: int = DEFAULT_N_CUT
+    n_cut: int = 0  # the truncation used
 
     def omega_matrix_entry(self, l: str, lp: str) -> float:
         if l == lp:
@@ -394,7 +395,7 @@ def incompatibility(gen_l: GeneratorSet, gen_lp: GeneratorSet, probe) -> float:
 
 
 def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
-                      n_cut: int | None = None,
+                      n_cut: int | str | None = None,
                       session: EstimationSession | None = None) -> EstimationReport:
     """Estimation record for one (model, time) point: the one-time case of
     `EstimationSession.evaluate`, checked the same way.  A `session` given is
@@ -418,7 +419,7 @@ def estimation_report(model: PeriodicHamiltonian, params, probe, t: float,
               for i, l in enumerate(names) for j in range(i + 1, len(names))}
     return EstimationReport(estimates=estimates, incompatibility=incomp,
                             qfim=grid.qfim[0], probe=grid.probe, time=t,
-                            n_cut=session.n_cut)
+                            n_cut=session.center.n_cut)
 
 
 def _check(grid: GridEvaluation, params) -> list:

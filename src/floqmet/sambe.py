@@ -7,12 +7,20 @@ The Fourier axis is truncated to |k| <= n_cut.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+AUTO_MARGIN = 12  # sectors added to sum_n |H^(n)| / omega for an "auto" first n_cut
+# The smallest "auto" first n_cut.  Rashba drives up to (b0, b1) = (7.5, 5)
+# need at most 34, so they all resolve at this one n_cut in one eigh: a sweep's
+# rows share one truncation, and its cost does not follow the drive.  At two
+# levels (dim 146) a scan row costs about two thirds of one at n_cut 50.
+AUTO_MIN_N_CUT = 36
+AUTO_MAX_N_CUT = 400  # the largest "auto" n_cut (dim 1602 at two levels)
 
 
 class FloquetBuildError(ValueError):
@@ -113,12 +121,17 @@ def _param_value(model: PeriodicHamiltonian, name: str) -> float:
 
 @dataclass
 class FloquetMatrix:
-    """Dense truncated Floquet Hamiltonian, index (k + n_cut) * levels + gamma."""
+    """Dense truncated Floquet Hamiltonian, index (k + n_cut) * levels + gamma.
+
+    `model` is set only when n_cut was "auto": `diagonalize` then rebuilds
+    the matrix from it, larger, until its physical modes are resolved.
+    """
 
     n_cut: int
     levels: int
     omega: float
     data: np.ndarray = field(repr=False)
+    model: PeriodicHamiltonian | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -128,14 +141,25 @@ class FloquetMatrix:
         return float(np.max(np.abs(self.data - self.data.conj().T)))
 
 
-def build_floquet_matrix(model: PeriodicHamiltonian, n_cut: int) -> FloquetMatrix:
+def build_floquet_matrix(model: PeriodicHamiltonian, n_cut: int | str) -> FloquetMatrix:
     """Assemble the truncated Sambe-space matrix for `model`.
 
     Block (k, m) is H^(k-m) plus the k*omega identity ladder on the diagonal
     blocks.  Rejects truncations that would drop nonzero couplings.  The
     matrix is real (float64) when every Fourier component is real, as for
-    drives with H(t)* = H(-t), and complex otherwise.
+    drives with H(t)* = H(-t), and complex otherwise.  n_cut "auto" starts
+    from ceil(sum_n |H^(n)| / omega) + AUTO_MARGIN (spectral norms), at least
+    AUTO_MIN_N_CUT and at most AUTO_MAX_N_CUT, and keeps the model, so that
+    `diagonalize` can grow it.
     """
+    if isinstance(n_cut, str) and n_cut == "auto":
+        norms = sum(np.linalg.norm(model.component(n), 2)
+                    for n in range(-model.max_harmonic, model.max_harmonic + 1))
+        guess = max(model.max_harmonic, AUTO_MIN_N_CUT,
+                    math.ceil(norms / model.omega) + AUTO_MARGIN)
+        return replace(build_floquet_matrix(model, min(guess, AUTO_MAX_N_CUT)), model=model)
+    if isinstance(n_cut, bool) or not isinstance(n_cut, (int, np.integer)):
+        raise FloquetBuildError(f"n_cut={n_cut!r} must be an integer or 'auto'")
     if n_cut < model.max_harmonic:
         raise FloquetBuildError(
             f"n_cut={n_cut} would drop couplings up to harmonic {model.max_harmonic}")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floqmet import cli, metrology, spectral
+from floqmet import cli, metrology, sambe, spectral
 from floqmet.cli import (ScanSpec, fit_scaling, fmt17, main, parse_grid,
                          parse_probe, run_scan, scan_columns)
 
@@ -693,3 +693,103 @@ def test_converge_reports_under_truncation(capsys):
     assert exit_code(["converge", "--b0", "5", "--b1", "5", "--ncuts", "8,10",
                       "--param", "b0"]) == 2
     assert "n_cut=8" in capsys.readouterr().err
+
+
+def test_strong_drive_resolves_by_default(tmp_path):
+    # at n_cut 50 (20, 20) fails its certificate; "auto" grows past it
+    out = tmp_path / "qfi.csv"
+    assert main(["qfi", "--b0", "20", "--b1", "20", "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "" and int(row["n_cut"]) >= 60
+    assert float(row["edge_weight"]) < spectral.EDGE_TOL
+    assert main(["qfi", "--b0", "20", "--b1", "20", "--ncut", "50",
+                 "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("b1", [1.0, 3.0, 5.0])
+def test_default_scan_searches_near_one_extra_eigh(b1, monkeypatch):
+    # across b1 in [1, 5], b0 in [0.5 b1, 1.5 b1] every point resolves at the
+    # "auto" floor in one eigh, so a scan's rows and its cost follow no drive
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    spec = ScanSpec(model="rashba", sweeps=[("b0", 0.5 * b1, 1.5 * b1, 8)],
+                    fixed={"b1": b1, "omega": 1.0}, times=[2 * math.pi, 4 * math.pi])
+    rows, failures = run_scan(spec)
+    assert failures == 0 and len(rows) == 16
+    assert sizes == [4 * sambe.AUTO_MIN_N_CUT + 2] * 8
+    assert {int(row["n_cut"]) for row in rows} == {sambe.AUTO_MIN_N_CUT}
+
+
+def test_ncut_takes_auto_or_an_integer(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["qfi", "--ncut", "auto"]).ncut == "auto"
+    assert parser.parse_args(["qfi", "--ncut", "12"]).ncut == 12
+    assert parser.parse_args(["qfi"]).ncut == metrology.DEFAULT_N_CUT == "auto"
+    assert exit_code(["qfi", "--ncut", "foo"]) == 2
+    assert ("argument --ncut: 'foo' is not an integer or 'auto'"
+            in capsys.readouterr().err)
+
+
+def test_explicit_ncut_row_is_the_session_at_that_ncut(tmp_path):
+    out = tmp_path / "qfi.csv"
+    assert main(["qfi", "--b0", "2.3", "--b1", "2.1", "--t", "3.7", "--ncut", "50",
+                 "--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    params = ["b0", "b1", "omega"]
+    session = metrology.EstimationSession(
+        cli.make_model("rashba", {"b0": 2.3, "b1": 2.1, "omega": 1.0}), params, 50)
+    grid = session.evaluate(parse_probe("gs-h0"), [3.7])
+    assert row["n_cut"] == "50" and row["edge_weight"] == fmt17(session.center.edge_weight)
+    for i, p in enumerate(params):
+        assert row[f"qfi_{p}"] == fmt17(float(grid.qfi[0, i, 0]))
+        assert row[f"bound_{p}"] == fmt17(float(grid.bound[0, i]))
+        assert row[f"cfi_{p}"] == fmt17(float(grid.cfi[0, i]))
+        for k, q in enumerate(params[i + 1:], i + 1):
+            assert row[f"omega_{p}_{q}"] == fmt17(float(grid.omega[0, i, k]))
+            assert row[f"qfim_{p}_{q}"] == fmt17(float(grid.qfim[0, i, k]))
+
+
+def test_point_without_a_valid_time_builds_no_session(monkeypatch, tmp_path):
+    def eigh(*_args, **_kwargs):
+        raise AssertionError("diagonalized a point with no valid time")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    out = tmp_path / "qfi.csv"
+    assert main(["qfi", "--t", "nan", "--ncut", "10", "--out", str(out)]) == 3
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "ValueError: t=nan must be finite and non-negative"
+    assert row["n_cut"] == "10" and row["edge_weight"] == ""
+
+
+def test_stepsize_study_builds_at_one_n_cut(monkeypatch):
+    calls = []
+    build = cli.build_floquet_matrix
+
+    def recording(model, n_cut):
+        calls.append(n_cut)
+        return build(model, n_cut)
+
+    monkeypatch.setattr(cli, "build_floquet_matrix", recording)
+    model = cli.make_model("rashba", {"b0": 3.0, "b1": 3.0, "omega": 1.0})
+    cli.stepsize_study(model, "b0", parse_probe("gs-h0"), 2 * math.pi,
+                       [1e-6, 1e-4, 1e-3], "auto")
+    resolved = metrology.EstimationSession(model, []).center.n_cut
+    assert calls == ["auto"] + [resolved] * 6
+
+
+def test_scaling_refuses_a_roundoff_fit(capsys):
+    # at b0 = 0 the QFI of b1 is roundoff of zero, 1e-16 of its bound
+    assert exit_code(["scaling", "--param", "b1", "--b0", "0", "--b1", "1",
+                      "--t-grid", "1:8:8", "--ncut", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: every fitted qfi_b1 is below 1e-12 of its bound_b1: roundoff, "
+        "not a power law\n")

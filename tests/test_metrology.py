@@ -400,7 +400,12 @@ def test_rashba_drive_derivatives_are_exact():
 @pytest.mark.parametrize("b0, b1", [(0.5, 0.5), (2.0, 1.0), (1.0, 3.0),
                                     (5.0, 5.0)])
 def test_reduced_propagator_matches_full_sum(b0, b1):
-    session = EstimationSession(RashbaModel(b0, b1, 1.0).hamiltonian(), [])
+    # the full Sambe sum holds exact replicas only when n_cut is well past the
+    # modes' reach (at (5, 5) and n_cut 27, where the edge weight is below
+    # EDGE_TOL, it is off by 8e-6), so it is taken at n_cut 50; the reduced
+    # propagator at "auto" must match it
+    model = RashbaModel(b0, b1, 1.0).hamiltonian()
+    session, auto = EstimationSession(model, [], 50), EstimationSession(model, [])
     spectrum = session.center
     view = spectrum.sector_view()                       # [k, level, alpha]
     for t in (1.3, PERIOD, 2 * PERIOD, 20.0):
@@ -411,6 +416,10 @@ def test_reduced_propagator_matches_full_sum(b0, b1):
         np.testing.assert_allclose(session.evaluate(PROBE, [t]).u[0], full,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(evolve(spectrum, t).u_matrix, full,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(auto.evaluate(PROBE, [t]).u[0], full,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(evolve(auto.center, t).u_matrix, full,
                                    rtol=0, atol=1e-12)
 
 
@@ -757,3 +766,36 @@ def test_non_finite_estimate_is_an_invariant_violation():
     with pytest.raises(InvariantViolation,
                        match=r"^non-finite QFI .* for 'b0' at t=1e\+300$"):
         session.evaluate(PROBE, [PERIOD, 1e300, 2e300])
+
+
+@pytest.mark.parametrize("b0, b1", [(0.5, 1.0), (1.5, 1.0), (1.5, 3.0), (3.0, 3.0),
+                                    (4.5, 3.0), (2.5, 5.0), (5.0, 5.0), (7.5, 5.0),
+                                    (10.0, 10.0), (20.0, 20.0)])
+def test_auto_truncation_matches_a_deep_one(b0, b1):
+    # the QFI matrix at the resolved n_cut against n_cut 120 (200 at (20, 20))
+    model = RashbaModel(b0, b1, 1.0).hamiltonian()
+    times = [PERIOD, 2 * PERIOD, 0.37 * PERIOD]
+    auto = EstimationSession(model, ["b0", "b1", "omega"]).evaluate(PROBE, times)
+    deep = EstimationSession(model, ["b0", "b1", "omega"],
+                             200 if b0 == 20 else 120).evaluate(PROBE, times)
+    np.testing.assert_allclose(auto.qfi[..., 0], deep.qfi[..., 0], rtol=1e-10, atol=0)
+    scale = np.abs(deep.qfim).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(auto.qfim - deep.qfim) <= 1e-10 * scale)
+
+
+def test_auto_session_reports():
+    # the session keeps the requested "auto"; reports record the n_cut used
+    model = RashbaModel(2.0, 1.5, 1.0).hamiltonian()
+    params = ["b0", "b1", "omega"]
+    session = EstimationSession(model, params, metrology.DEFAULT_N_CUT)
+    assert metrology.DEFAULT_N_CUT == session.n_cut == "auto"
+    assert session.center.n_cut < 50 and session.center.edge_weight < spectral.EDGE_TOL
+    report = estimation_report(model, params, PROBE, PERIOD, n_cut="auto", session=session)
+    assert report.n_cut == session.center.n_cut
+    assert estimation_report(model, params, PROBE, PERIOD).qfim.tolist() == \
+        report.qfim.tolist()
+    with pytest.raises(ValueError, match="^n_cut=30 differs from the session's 'auto'$"):
+        estimation_report(model, params, PROBE, PERIOD, n_cut=30, session=session)
+    explicit = EstimationSession(model, params, 30)
+    with pytest.raises(ValueError, match="^n_cut='auto' differs from the session's 30$"):
+        estimation_report(model, params, PROBE, PERIOD, n_cut="auto", session=explicit)

@@ -1,9 +1,11 @@
 """Spectrum, folding, and amplitude-table tests."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from floqmet import sambe, spectral
 from floqmet.models import RashbaModel, RotatingFieldModel
 from floqmet.propagator import evolve
 from floqmet.sambe import FloquetMatrix, build_floquet_matrix
@@ -133,3 +135,62 @@ def test_diagonalize_certifies_the_spectrum():
         with pytest.raises(ValueError, match="read-only"):
             getattr(spectrum, name)[0] = 0
 
+
+
+@pytest.mark.parametrize("b0, b1", [(0.5, 1.0), (3.0, 3.0), (7.5, 5.0), (20.0, 20.0)])
+def test_auto_truncation_resolves_the_edge_weight(b0, b1, monkeypatch):
+    model = RashbaModel(b0, b1, 1.0).hamiltonian()
+    matrix = build_floquet_matrix(model, "auto")
+    assert matrix.model is model
+    assert matrix.n_cut == max(sambe.AUTO_MIN_N_CUT,  # sum |H^(n)| is 2 b0 + b1
+                               math.ceil(2 * b0 + b1) + sambe.AUTO_MARGIN)
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    spectrum = diagonalize(matrix)
+    assert spectrum.edge_weight < spectral.EDGE_TOL
+    assert spectrum.edge_weight == pytest.approx(
+        spectrum.edge_weights()[spectrum.modes].max(), rel=1e-12)
+    assert len(sizes) <= 2 and sizes[-1] == spectrum.dim
+    # a grown guess failed the edge test
+    if len(sizes) == 2:
+        smaller = diagonalize(build_floquet_matrix(model, matrix.n_cut))
+        assert smaller.edge_weight >= spectral.EDGE_TOL
+
+
+def test_explicit_n_cut_is_not_grown(monkeypatch):
+    matrix = build_floquet_matrix(RashbaModel(5.0, 5.0, 1.0).hamiltonian(), 20)
+    assert matrix.model is None
+    spectrum = diagonalize(matrix)
+    assert spectrum.n_cut == 20 and spectrum.edge_weight > spectral.EDGE_TOL
+    with pytest.raises(sambe.FloquetBuildError,
+                       match=r"^n_cut='foo' must be an integer or 'auto'$"):
+        build_floquet_matrix(RashbaModel(1.0, 1.0, 1.0).hamiltonian(), "foo")
+
+
+def test_auto_truncation_grows_from_a_failed_certificate(monkeypatch):
+    # a first n_cut of 8 fails the certificate at (5, 5): grown by 4 sectors
+    # until it passes, then by the edge weight's decay rate
+    monkeypatch.setattr(sambe, "AUTO_MARGIN", 8 - 15)
+    monkeypatch.setattr(sambe, "AUTO_MIN_N_CUT", 0)
+    model = RashbaModel(5.0, 5.0, 1.0).hamiltonian()
+    with pytest.raises(TruncationError):
+        diagonalize(build_floquet_matrix(model, 8))
+    spectrum = diagonalize(build_floquet_matrix(model, "auto"))
+    assert spectrum.edge_weight < spectral.EDGE_TOL
+
+
+def test_auto_truncation_is_bounded(monkeypatch):
+    # (7.5, 5) needs 34, so it starts at the bound 32 and fails there; a huge
+    # drive starts at the bound
+    monkeypatch.setattr(sambe, "AUTO_MAX_N_CUT", 32)
+    with pytest.raises(TruncationError,
+                       match=r"^n_cut='auto' needs more than 32: at n_cut=32 the edge "
+                             r"weight is .* \(limit 1e-24\); pass an explicit n_cut$"):
+        diagonalize(build_floquet_matrix(RashbaModel(7.5, 5.0, 1.0).hamiltonian(), "auto"))
+    assert build_floquet_matrix(RashbaModel(1e3, 1e3, 1.0).hamiltonian(), "auto").n_cut == 32
