@@ -23,7 +23,7 @@ from .models import RashbaModel, RotatingFieldModel
 from .propagator import evolve
 from .reference import OracleConfig, propagate_direct, unitarity_defect
 from .sambe import _check_times, _param_value, _time_errors, build_floquet_matrix
-from .spectral import diagonalize
+from .spectral import _solve, diagonalize
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -336,26 +336,30 @@ def cmd_converge(args) -> int:
 
 def stepsize_study(model, param, probe, t, deltas, n_cut) -> list[dict]:
     """QFI(delta) from a central difference of the Floquet propagator
-    `evolve` (the reports themselves differentiate exactly), plus a 5-point
-    local standard deviation per delta.  Every shifted spectrum is built at
-    the n_cut that x0's resolves to, so no difference straddles two."""
+    `evolve`, a 5-point local standard deviation per delta, and its error
+    against the exact QFI of an `EstimationSession` at the same point and
+    n_cut.  Every shifted spectrum is built at the n_cut that x0's resolves
+    to and solved on x0's block (its window, or the whole matrix), so no
+    difference straddles two truncations or two solves."""
     x0, psi = _param_value(model, param), _as_probe(probe, model.levels)
     center = diagonalize(build_floquet_matrix(model, n_cut))
 
     def u_at(x):
-        spectrum = diagonalize(build_floquet_matrix(
-            model.with_params(**{param: x}), center.n_cut))
+        spectrum = _solve(build_floquet_matrix(
+            model.with_params(**{param: x}), center.n_cut), center.window)
         return evolve(spectrum, t).u_matrix
 
     u0_dag = evolve(center, t).u_matrix.conj().T
     h = np.array([1j * u0_dag @ (u_at(x0 + d) - u_at(x0 - d)) / (2 * d)
                   for d in deltas])
     values = _gram(0.5 * (h + h.conj().swapaxes(1, 2))[:, None], psi)[1][:, 0, 0]
+    exact = EstimationSession(model, [param], n_cut).evaluate(psi, [t]).qfi[0, 0, 0]
     rows = []
     for i, d in enumerate(deltas):
         lo, hi = max(0, i - 2), min(len(deltas), i + 3)
         rows.append({"delta": float(d), "qfi": float(values[i]),
-                     "local_std": float(np.std(values[lo:hi]))})
+                     "local_std": float(np.std(values[lo:hi])),
+                     "abs_error": float(abs(values[i] - exact))})
     return rows
 
 
@@ -367,7 +371,7 @@ def cmd_stepsize(args) -> int:
     if span < 3:
         raise ValueError(f"step-size study should span >= 3 decades, got {span:.1f}")
     rows = stepsize_study(model, args.param, probe, args.t, deltas, args.ncut)
-    write_table(rows, ["delta", "qfi", "local_std"], args.out, args.format)
+    write_table(rows, ["delta", "qfi", "local_std", "abs_error"], args.out, args.format)
     return EXIT_OK
 
 

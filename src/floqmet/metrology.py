@@ -231,7 +231,7 @@ class EstimationSession:
         phi, k, eps = self.center.phi, self.center.k, self.center.quasienergies
         self._u0_dag = self.center.u0.conj().T
         self._ku0_dag = np.tensordot(k, phi, axes=(0, 0)).conj().T
-        reach = 2 * self.center.n_cut + model.max_harmonic
+        reach = 2 * self.center.window + model.max_harmonic
         shifts = np.arange(-reach, reach + 1)
         couplings = _replica_couplings(phi, k, d_h, self.params, shifts)
         self._d_eps = np.diagonal(couplings[:, reach], axis1=1, axis2=2)

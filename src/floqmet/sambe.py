@@ -138,7 +138,20 @@ class FloquetMatrix:
         return self.levels * (2 * self.n_cut + 1)
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.data - self.data.conj().T)))
+        """max |M - M^dag|, taken in row blocks of the upper triangle against
+        their mirror columns, so that both stay in cache."""
+        d, rows = self.data, 64
+        return float(np.max([np.abs(d[i:i + rows, i:] - d[i:, i:i + rows].conj().T).max()
+                             for i in range(0, len(d), rows)]))
+
+
+def first_n_cut(components, omega: float) -> int:
+    """"auto"'s first n_cut for the Fourier components H^(n), n = -h..h:
+    ceil(sum_n ||H^(n)|| / omega) + AUTO_MARGIN (spectral norms), at least h
+    and AUTO_MIN_N_CUT and at most AUTO_MAX_N_CUT."""
+    norms = sum(np.linalg.norm(h, 2) for h in components)
+    guess = max(len(components) // 2, AUTO_MIN_N_CUT, math.ceil(norms / omega) + AUTO_MARGIN)
+    return min(guess, AUTO_MAX_N_CUT)
 
 
 def build_floquet_matrix(model: PeriodicHamiltonian, n_cut: int | str) -> FloquetMatrix:
@@ -148,16 +161,13 @@ def build_floquet_matrix(model: PeriodicHamiltonian, n_cut: int | str) -> Floque
     blocks.  Rejects truncations that would drop nonzero couplings.  The
     matrix is real (float64) when every Fourier component is real, as for
     drives with H(t)* = H(-t), and complex otherwise.  n_cut "auto" starts
-    from ceil(sum_n |H^(n)| / omega) + AUTO_MARGIN (spectral norms), at least
-    AUTO_MIN_N_CUT and at most AUTO_MAX_N_CUT, and keeps the model, so that
-    `diagonalize` can grow it.
+    from `first_n_cut` and keeps the model, so that `diagonalize` can grow it.
     """
     if isinstance(n_cut, str) and n_cut == "auto":
-        norms = sum(np.linalg.norm(model.component(n), 2)
-                    for n in range(-model.max_harmonic, model.max_harmonic + 1))
-        guess = max(model.max_harmonic, AUTO_MIN_N_CUT,
-                    math.ceil(norms / model.omega) + AUTO_MARGIN)
-        return replace(build_floquet_matrix(model, min(guess, AUTO_MAX_N_CUT)), model=model)
+        components = [model.component(n)
+                      for n in range(-model.max_harmonic, model.max_harmonic + 1)]
+        return replace(build_floquet_matrix(model, first_n_cut(components, model.omega)),
+                       model=model)
     if isinstance(n_cut, bool) or not isinstance(n_cut, (int, np.integer)):
         raise FloquetBuildError(f"n_cut={n_cut!r} must be an integer or 'auto'")
     if n_cut < model.max_harmonic:

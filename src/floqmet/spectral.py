@@ -16,6 +16,12 @@ DEFECT_TOL = 1e-6
 # matches n_cut 120 (200 at (20, 20)) within 4.1e-12 relative; 1e-20 reached
 # 1.5e-10.
 EDGE_TOL = 1e-24
+# A window's N modes are kept when each, zero-padded, is an eigenpair of M_n
+# within RESIDUAL_TOL eps ||M_n||_inf (see `_windowed`).  Kept windows read
+# 0.2-1.5 of that unit and dense solves 0.1-1.3 (Rashba, (0.5, 1) to (20, 20),
+# n_cut 50-200); windows cut short read 21 to 9e7 and moved U and the
+# estimates by up to 1.3e-14 relative per unit, so 16 allows about 2e-13.
+RESIDUAL_TOL = 16
 
 
 class DiagonalizationError(RuntimeError):
@@ -54,6 +60,13 @@ class FloquetSpectrum:
     are not orthonormal within DEFECT_TOL.  They are kept, read-only, as `phi`
     [k, level, mode] (complex128), `quasienergies` and `u0` [level, mode];
     `modes_at` evaluates them.  Immutable, so shared freely.
+
+    `window` is the n_cut of the central block of M_n that was diagonalized
+    (None: n_cut itself); `eigenvectors`, `sector_view`, `k` and `phi` cover
+    its 2 window + 1 sectors, and edge weights are read on its two outermost
+    ones.  A spectrum whose window is below n_cut holds just the N certified
+    eigenpairs of M_n, which vanish outside the window; its `dim` and
+    `n_sectors` describe M_n.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -61,6 +74,7 @@ class FloquetSpectrum:
     n_cut: int = 0
     levels: int = 2
     omega: float = 1.0
+    window: int | None = None
     modes: np.ndarray = field(init=False, repr=False)
     k: np.ndarray = field(init=False, repr=False)
     phi: np.ndarray = field(init=False, repr=False)
@@ -68,8 +82,10 @@ class FloquetSpectrum:
     u0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.window is None:
+            object.__setattr__(self, "window", self.n_cut)
         view = self.sector_view()
-        k = np.arange(-self.n_cut, self.n_cut + 1)
+        k = np.arange(-self.window, self.window + 1)
         mean_k = np.einsum("k,kgm->m", k, np.abs(view) ** 2)
         qualify = np.nonzero((mean_k > -0.5) & (mean_k <= 0.5))[0]
         by_edge = np.argsort(self.edge_weights()[qualify], kind="stable")
@@ -99,7 +115,7 @@ class FloquetSpectrum:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.size
+        return self.levels * self.n_sectors
 
     @property
     def n_sectors(self) -> int:
@@ -111,7 +127,7 @@ class FloquetSpectrum:
 
     def sector_view(self) -> np.ndarray:
         """Eigenvector table reshaped to [sector, level, mode]."""
-        return self.eigenvectors.reshape(self.n_sectors, self.levels, self.dim)
+        return self.eigenvectors.reshape(2 * self.window + 1, self.levels, -1)
 
     @property
     def edge_weight(self) -> float:
@@ -141,19 +157,22 @@ def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
     `TruncationError` when its physical modes fail the certificate.
 
     A real symmetric matrix runs the real solver and keeps its real
-    eigenvector table; only the N-mode table `phi` is made complex.  A matrix
-    built at n_cut "auto" (it keeps its model) is rebuilt larger, as
-    `_grown_n_cut` says, until the certificate passes and the modes' edge
-    weight is below EDGE_TOL; past sambe.AUTO_MAX_N_CUT it is a `TruncationError`.
+    eigenvector table; only the N-mode table `phi` is made complex.  An
+    explicit n_cut n is solved on the window of "auto"'s first n_cut for the
+    same drive (`_window`) when that is below n, as `_solve` says.  A matrix
+    built at n_cut "auto" (it keeps its model) is solved whole, and rebuilt
+    larger, as `_grown_n_cut` says, until the certificate passes and the
+    modes' edge weight is below EDGE_TOL; past sambe.AUTO_MAX_N_CUT it is a
+    `TruncationError`.
     """
+    if matrix.model is None:
+        return _solve(matrix, _window(matrix))
     while True:
         try:
-            spectrum = _certified(matrix)
+            spectrum = _solve(matrix, matrix.n_cut)
         except TruncationError:
-            if matrix.model is None:
-                raise
             spectrum = None
-        if matrix.model is None or (spectrum is not None and spectrum.edge_weight < EDGE_TOL):
+        if spectrum is not None and spectrum.edge_weight < EDGE_TOL:
             return spectrum
         n_cut = _grown_n_cut(matrix.n_cut, spectrum)
         if n_cut > sambe.AUTO_MAX_N_CUT:
@@ -180,12 +199,25 @@ def _grown_n_cut(n_cut: int, spectrum: FloquetSpectrum | None) -> int:
     return n_cut + min(max(step, 1), limit)
 
 
-def _certified(matrix: FloquetMatrix) -> FloquetSpectrum:
-    """The certified spectrum of `matrix` at its own n_cut."""
+def _window(matrix: FloquetMatrix) -> int:
+    """`sambe.first_n_cut` of the drive of `matrix`, from the Fourier components
+    H^(m) read off the block column of sector 0, whose ladder term is 0."""
+    n, nl = matrix.n_cut, matrix.levels
+    column = matrix.data[:, n * nl:(n + 1) * nl].reshape(-1, nl, nl)
+    reach = np.abs(np.flatnonzero(column.any(axis=(1, 2))) - n).max(initial=0)
+    return sambe.first_n_cut(column[n - reach:n + reach + 1].astype(complex), matrix.omega)
+
+
+def _solve(matrix: FloquetMatrix, window: int) -> FloquetSpectrum:
+    """The certified spectrum of the Hermitian M_n = `matrix`: `_windowed` when
+    `window` is below n and its modes pass, otherwise the dense `eigh` of M_n."""
     defect = matrix.hermiticity_defect()
     if defect > 1e-10:
         raise DiagonalizationError(
             f"matrix is not Hermitian (defect {defect:.3e})")
+    spectrum = _windowed(matrix, window) if window < matrix.n_cut else None
+    if spectrum is not None:
+        return spectrum
     try:
         lam, vec = np.linalg.eigh(matrix.data)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -193,6 +225,27 @@ def _certified(matrix: FloquetMatrix) -> FloquetSpectrum:
         raise DiagonalizationError(
             f"eigh failed for dim={matrix.dim}, max|entry|={scale:.3e}") from exc
     return FloquetSpectrum(lam, vec, matrix.n_cut, matrix.levels, matrix.omega)
+
+
+def _windowed(matrix: FloquetMatrix, window: int) -> FloquetSpectrum | None:
+    """The N physical modes of M_w, the central 2 `window` + 1 sectors of M_n
+    (equal to M_w built directly), as eigenpairs of M_n: None when M_w's
+    certificate fails or a mode, zero-padded to M_n's sectors, has a residual
+    |M_n phi - lam phi| above RESIDUAL_TOL eps ||M_n||_inf."""
+    n, nl = matrix.n_cut, matrix.levels
+    block = slice((n - window) * nl, (n + window + 1) * nl)
+    try:
+        inner = FloquetSpectrum(*np.linalg.eigh(matrix.data[block, block]),
+                                window, nl, matrix.omega)
+    except (np.linalg.LinAlgError, TruncationError):
+        return None
+    lam, vectors = inner.quasienergies, inner.eigenvectors[:, inner.modes]
+    residual = matrix.data[:, block] @ vectors
+    residual[block] -= vectors * lam
+    scale = np.abs(matrix.data).sum(axis=1).max()
+    if np.linalg.norm(residual, axis=0).max() > RESIDUAL_TOL * np.finfo(float).eps * scale:
+        return None
+    return FloquetSpectrum(lam, vectors, n, nl, matrix.omega, window)
 
 
 @dataclass
@@ -214,9 +267,11 @@ class AmplitudeTable:
 
 
 def amplitude_table(spectrum: FloquetSpectrum) -> AmplitudeTable:
-    """All transition amplitudes out of the input Fourier sector 0."""
+    """All transition amplitudes out of the input Fourier sector 0, over the
+    eigenvectors `spectrum` holds: every one of M_n's for a dense solve, the
+    N physical modes for a window."""
     view = spectrum.sector_view()                      # [k, gamma, alpha]
-    inp = view[spectrum.n_cut].conj()                  # [beta, alpha]
+    inp = view[spectrum.window].conj()                 # [beta, alpha], k = 0
     entries = np.einsum("kga,ba->akgb", view, inp)
     return AmplitudeTable(
         entries=entries,

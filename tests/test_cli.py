@@ -34,6 +34,19 @@ def run_cli(*args):
     return run_python("-m", "floqmet.cli", *args)
 
 
+def count_eigh(monkeypatch) -> list:
+    """The size of every np.linalg.eigh call from here on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
+
+
 def test_parse_grid():
     np.testing.assert_allclose(parse_grid("0:1:5"), [0, 0.25, 0.5, 0.75, 1])
     with pytest.raises(ValueError):
@@ -711,14 +724,7 @@ def test_strong_drive_resolves_by_default(tmp_path):
 def test_default_scan_searches_near_one_extra_eigh(b1, monkeypatch):
     # across b1 in [1, 5], b0 in [0.5 b1, 1.5 b1] every point resolves at the
     # "auto" floor in one eigh, so a scan's rows and its cost follow no drive
-    sizes = []
-    eigh = np.linalg.eigh
-
-    def counting(a):
-        sizes.append(len(a))
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    sizes = count_eigh(monkeypatch)
     spec = ScanSpec(model="rashba", sweeps=[("b0", 0.5 * b1, 1.5 * b1, 8)],
                     fixed={"b1": b1, "omega": 1.0}, times=[2 * math.pi, 4 * math.pi])
     rows, failures = run_scan(spec)
@@ -784,6 +790,36 @@ def test_stepsize_study_builds_at_one_n_cut(monkeypatch):
                        [1e-6, 1e-4, 1e-3], "auto")
     resolved = metrology.EstimationSession(model, []).center.n_cut
     assert calls == ["auto"] + [resolved] * 6
+
+
+def test_deep_explicit_ncut_solves_one_small_window(monkeypatch, tmp_path):
+    # (9, 9) at n_cut 200 is solved on the 79 central sectors of "auto"'s
+    # first n_cut, 39: one eigh of dim 158, none of dim 802
+    sizes = count_eigh(monkeypatch)
+    out = tmp_path / "qfi.csv"
+    assert main(["qfi", "--b0", "9", "--b1", "9", "--ncut", "200",
+                 "--out", str(out)]) == 0
+    assert sizes == [2 * (2 * 39 + 1)]
+    with out.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "" and row["n_cut"] == "200"
+    assert float(row["edge_weight"]) < spectral.EDGE_TOL
+
+
+def test_stepsize_study_solves_every_spectrum_on_one_block(monkeypatch):
+    # explicit n_cut 50 at (0.5, 0.5): x0, its session and every x0 +/- delta
+    # are solved on the window of 36, so no difference mixes two solves
+    model = cli.make_model("rashba", {"b0": 0.5, "b1": 0.5, "omega": 1.0})
+    probe, deltas = parse_probe("gs-h0"), [1e-6, 3e-6, 1e-4, 1e-3]
+    exact = metrology.EstimationSession(model, ["b0"], 50).evaluate(
+        probe, [2 * math.pi]).qfi[0, 0, 0]
+    sizes = count_eigh(monkeypatch)
+    rows = cli.stepsize_study(model, "b0", probe, 2 * math.pi, deltas, 50)
+    assert sizes == [4 * sambe.AUTO_MIN_N_CUT + 2] * (2 + 2 * len(deltas))
+    # abs_error is the distance to the session's exact QFI: about 1e-10
+    # relative at delta 3e-6, the central difference's best step
+    assert [row["abs_error"] for row in rows] == [abs(row["qfi"] - exact) for row in rows]
+    assert min(row["abs_error"] for row in rows) <= 1e-9 * exact
 
 
 def test_scaling_refuses_a_roundoff_fit(capsys):

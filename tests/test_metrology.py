@@ -16,7 +16,8 @@ from floqmet.propagator import (averaged_probability_shirley, evolve,
                                 transition_probability)
 from floqmet.sambe import (PeriodicHamiltonian, build_floquet_matrix,
                            periodic_hamiltonian_from_timedomain)
-from floqmet.spectral import TruncationError, amplitude_table, diagonalize
+from floqmet.spectral import (FloquetSpectrum, TruncationError, amplitude_table,
+                              diagonalize)
 
 PROBE = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
 PERIOD = 2 * math.pi
@@ -402,11 +403,14 @@ def test_rashba_drive_derivatives_are_exact():
 def test_reduced_propagator_matches_full_sum(b0, b1):
     # the full Sambe sum holds exact replicas only when n_cut is well past the
     # modes' reach (at (5, 5) and n_cut 27, where the edge weight is below
-    # EDGE_TOL, it is off by 8e-6), so it is taken at n_cut 50; the reduced
-    # propagator at "auto" must match it
+    # EDGE_TOL, it is off by 8e-6), so it is taken over every eigenpair of the
+    # dense eigh of M_50 (the session's spectrum holds only the N modes of its
+    # window); the reduced propagator at n_cut 50 and at "auto" must match it
     model = RashbaModel(b0, b1, 1.0).hamiltonian()
     session, auto = EstimationSession(model, [], 50), EstimationSession(model, [])
-    spectrum = session.center
+    matrix = build_floquet_matrix(model, 50)
+    spectrum = FloquetSpectrum(*np.linalg.eigh(matrix.data), 50, matrix.levels,
+                               matrix.omega)
     view = spectrum.sector_view()                       # [k, level, alpha]
     for t in (1.3, PERIOD, 2 * PERIOD, 20.0):
         # sum over all dim Sambe eigenvectors: <g,k|e^{-iMt}|b,0> e^{ikwt}
@@ -415,7 +419,7 @@ def test_reduced_propagator_matches_full_sum(b0, b1):
         full = np.tensordot(np.exp(1j * spectrum.k * spectrum.omega * t), ck, axes=(0, 0))
         np.testing.assert_allclose(session.evaluate(PROBE, [t]).u[0], full,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(evolve(spectrum, t).u_matrix, full,
+        np.testing.assert_allclose(evolve(session.center, t).u_matrix, full,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(auto.evaluate(PROBE, [t]).u[0], full,
                                    rtol=0, atol=1e-12)
@@ -799,3 +803,42 @@ def test_auto_session_reports():
     explicit = EstimationSession(model, params, 30)
     with pytest.raises(ValueError, match="^n_cut='auto' differs from the session's 30$"):
         estimation_report(model, params, PROBE, PERIOD, n_cut="auto", session=explicit)
+
+
+WINDOWED = [(f"rashba-{b0:g}-{b1:g}", RashbaModel(b0, b1, 1.0).hamiltonian(), n_cut)
+            for b0, b1 in [(0.5, 1.0), (3.0, 3.0), (7.5, 5.0), (10.0, 10.0), (20.0, 20.0)]
+            for n_cut in (50, 51, 120, 200) if b0 < 20 or n_cut > 51]
+WINDOWED += [("rotating", RotatingFieldModel(0.5, 1.0).hamiltonian(), n_cut)
+             for n_cut in (50, 200)]
+WINDOWED += [(f"drive-{levels}-{h}", random_drive(levels, h, seed=levels), 50)
+             for levels, h in [(3, 2), (4, 1)]]
+
+
+@pytest.mark.parametrize("name, model, n_cut", WINDOWED,
+                         ids=[f"{name}-{n}" for name, _, n in WINDOWED])
+def test_window_matches_the_dense_solve(name, model, n_cut, monkeypatch):
+    # every estimate from the window's N modes is within 1e-12 of the dense
+    # eigh of M_n: U absolutely, and the rest against their parameter's
+    # largest QFI or bound over the times (the QFI-matrix and Omega entries
+    # against sqrt(F_pp F_qq), which bounds them).  Measured at most 7.1e-13,
+    # a CFI at (7.5, 5) and n_cut 120, where the dense solves at 50 and 200
+    # differ from the one at 120 by up to 6.5e-13.  (10, 10) at n_cut 50 and
+    # 51 is criterion 08's pair; (20, 20) needs a window of 72, above 50 and
+    # 51 (see test_window_keeps_the_refusals).
+    params = list(model.params)
+    times = [0.37 * model.period, model.period, 2.6 * model.period]
+    probe = np.eye(model.levels)[0]
+    windowed = EstimationSession(model, params, n_cut)
+    assert windowed.center.window == build_floquet_matrix(model, "auto").n_cut < n_cut
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_window", lambda matrix: matrix.n_cut)
+        dense = EstimationSession(model, params, n_cut)
+    assert dense.center.window == n_cut
+    got, want = windowed.evaluate(probe, times), dense.evaluate(probe, times)
+    qfi = want.qfi[..., 0].max(axis=0)
+    pair = np.sqrt(np.outer(qfi, qfi))
+    scales = {"u": 1.0, "qfi": qfi[:, None], "qfim": pair, "omega": pair,
+              "bound": want.bound.max(axis=0), "cfi": qfi}
+    for quantity, scale in scales.items():
+        error = np.abs(getattr(got, quantity) - getattr(want, quantity)) / scale
+        assert error.max() <= 1e-12, (quantity, error.max())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from floqmet.models import SIGMA_X, SIGMA_Y, RashbaModel, RotatingFieldModel
-from floqmet.sambe import (FloquetBuildError, PeriodicHamiltonian,
+from floqmet.sambe import (FloquetBuildError, FloquetMatrix, PeriodicHamiltonian,
                            build_floquet_matrix,
                            fourier_components_from_timedomain,
                            periodic_hamiltonian_from_timedomain)
@@ -159,6 +159,21 @@ def test_built_matrix_is_hermitian():
     matrix = build_floquet_matrix(RashbaModel(1.7, 0.9, 1.1).hamiltonian(), 20)
     assert matrix.hermiticity_defect() < 1e-12
     assert matrix.dim == 2 * 41
+
+
+@pytest.mark.parametrize("dim", [2, 63, 64, 65, 200])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_blocked_hermiticity_defect_is_the_one_pass_value(dim, dtype):
+    rng = np.random.default_rng(dim)
+    data = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        data += 1j * rng.standard_normal((dim, dim))
+    data = data + data.conj().T
+    data[dim - 1, 0] += 1e-9 * (1 + 1j if dtype is complex else 1)
+    for d in (data, np.where(np.eye(dim, k=-1), np.nan, data)):
+        matrix = FloquetMatrix(n_cut=0, levels=dim, omega=1.0, data=d)
+        want = float(np.max(np.abs(d - d.conj().T)))
+        np.testing.assert_array_equal(matrix.hermiticity_defect(), want)
 
 
 def test_with_params_moves_drive_frequency():

@@ -14,6 +14,19 @@ from floqmet.spectral import (DiagonalizationError, FloquetSpectrum,
                               fold_to_fbz)
 
 
+def count_eigh(monkeypatch) -> list:
+    """The size of every np.linalg.eigh call from here on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
+
+
 def test_fold_scalar_cases():
     assert fold_to_fbz(0.75, 1.0) == pytest.approx(-0.25)
     assert fold_to_fbz(0.5, 1.0) == pytest.approx(0.5)   # half-open boundary
@@ -60,9 +73,15 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(bad)
 
 
+def dense_spectrum(model, n_cut):
+    """Every eigenpair of the truncated matrix, from one dense eigh."""
+    matrix = build_floquet_matrix(model, n_cut)
+    return FloquetSpectrum(*np.linalg.eigh(matrix.data), n_cut, matrix.levels,
+                           matrix.omega)
+
+
 def test_amplitude_completeness_at_transition():
-    spectrum = diagonalize(
-        build_floquet_matrix(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), 50))
+    spectrum = dense_spectrum(RashbaModel(0.5, 0.5, 1.0).hamiltonian(), 50)
     table = amplitude_table(spectrum)
     assert table.identity_defect() < 1e-10
     # sum_{alpha,k,gamma} |B|^2 = 1 per input level (long-time completeness)
@@ -98,8 +117,7 @@ def test_folded_gap_is_branch_spacing():
 
 
 def test_edge_modes_are_flagged_interior_clean():
-    spectrum = diagonalize(
-        build_floquet_matrix(RashbaModel(2.0, 1.0, 1.0).hamiltonian(), 50))
+    spectrum = dense_spectrum(RashbaModel(2.0, 1.0, 1.0).hamiltonian(), 50)
     edge = spectrum.edge_weights()
     modes = spectrum.modes
     assert modes.size == 2 and np.all(edge[modes] < 1e-8)
@@ -144,14 +162,7 @@ def test_auto_truncation_resolves_the_edge_weight(b0, b1, monkeypatch):
     assert matrix.model is model
     assert matrix.n_cut == max(sambe.AUTO_MIN_N_CUT,  # sum |H^(n)| is 2 b0 + b1
                                math.ceil(2 * b0 + b1) + sambe.AUTO_MARGIN)
-    sizes = []
-    eigh = np.linalg.eigh
-
-    def counting(a):
-        sizes.append(len(a))
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    sizes = count_eigh(monkeypatch)
     spectrum = diagonalize(matrix)
     assert spectrum.edge_weight < spectral.EDGE_TOL
     assert spectrum.edge_weight == pytest.approx(
@@ -194,3 +205,79 @@ def test_auto_truncation_is_bounded(monkeypatch):
                              r"weight is .* \(limit 1e-24\); pass an explicit n_cut$"):
         diagonalize(build_floquet_matrix(RashbaModel(7.5, 5.0, 1.0).hamiltonian(), "auto"))
     assert build_floquet_matrix(RashbaModel(1e3, 1e3, 1.0).hamiltonian(), "auto").n_cut == 32
+
+
+def test_window_holds_the_physical_modes_of_the_deep_matrix(monkeypatch):
+    # (9, 9): "auto" starts at 2 b0 + b1 + 12 = 39, so n_cut 200 is solved on
+    # the central 79 sectors, which equal the matrix built at 39
+    model = RashbaModel(9.0, 9.0, 1.0).hamiltonian()
+    matrix = build_floquet_matrix(model, 200)
+    window = build_floquet_matrix(model, "auto").n_cut
+    assert window == spectral._window(matrix) == 39
+    inner = build_floquet_matrix(model, window)
+    block = slice(2 * (200 - window), 2 * (200 + window + 1))
+    np.testing.assert_array_equal(matrix.data[block, block], inner.data)
+    sizes = count_eigh(monkeypatch)
+    spectrum = diagonalize(matrix)
+    assert sizes == [inner.dim]
+    assert (spectrum.n_cut, spectrum.dim, spectrum.n_sectors) == (200, 802, 401)
+    assert spectrum.window == window and spectrum.eigenvectors.shape == (inner.dim, 2)
+    np.testing.assert_array_equal(spectrum.k, np.arange(-window, window + 1))
+    np.testing.assert_array_equal(spectrum.modes, [0, 1])
+    whole = diagonalize(inner)
+    for name in ("quasienergies", "phi", "u0"):
+        np.testing.assert_array_equal(getattr(spectrum, name), getattr(whole, name))
+    assert spectrum.edge_weight == whole.edge_weight < spectral.EDGE_TOL
+    # each mode, zero-padded to the 401 sectors, is an eigenpair of M_200
+    vectors = np.zeros((matrix.dim, 2))
+    vectors[block] = spectrum.eigenvectors
+    residual = matrix.data @ vectors - vectors * spectrum.quasienergies
+    scale = np.finfo(float).eps * np.abs(matrix.data).sum(axis=1).max()
+    assert np.linalg.norm(residual, axis=0).max() <= spectral.RESIDUAL_TOL * scale
+
+
+@pytest.mark.parametrize("case", ["no-residual-allowed", "window-too-small"])
+def test_failed_window_falls_back_to_the_dense_solve(case, monkeypatch):
+    # at (10, 10) and n_cut 120 a window of 34 passes its own certificate,
+    # but its modes leave a residual of 2e4 eps ||M_n|| on M_120
+    matrix = build_floquet_matrix(RashbaModel(10.0, 10.0, 1.0).hamiltonian(), 120)
+    want = FloquetSpectrum(*np.linalg.eigh(matrix.data), 120, 2, 1.0)
+    if case == "no-residual-allowed":
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
+    else:
+        monkeypatch.setattr(spectral, "_window", lambda _matrix: 34)
+    window = spectral._window(matrix)
+    sizes = count_eigh(monkeypatch)
+    got = diagonalize(matrix)
+    assert sizes == [2 * (2 * window + 1), matrix.dim]
+    assert got.window == 120
+    for name in ("eigenvalues", "eigenvectors", "modes", "k", "phi",
+                 "quasienergies", "u0"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("b0, b1, n_cut", [(0.5, 0.5, 20), (0.5, 0.5, 36),
+                                           (10.0, 10.0, 42)])
+def test_explicit_n_cut_up_to_the_window_is_one_dense_eigh(b0, b1, n_cut, monkeypatch):
+    matrix = build_floquet_matrix(RashbaModel(b0, b1, 1.0).hamiltonian(), n_cut)
+    assert spectral._window(matrix) >= n_cut
+    want = FloquetSpectrum(*np.linalg.eigh(matrix.data), n_cut, 2, 1.0)
+    sizes = count_eigh(monkeypatch)
+    got = diagonalize(matrix)
+    assert sizes == [matrix.dim] and got.window == n_cut
+    for name in ("eigenvalues", "eigenvectors", "modes", "phi", "quasienergies", "u0"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_window_keeps_the_refusals(monkeypatch):
+    # a non-Hermitian matrix is refused before any eigh, at any n_cut
+    matrix = build_floquet_matrix(RashbaModel(3.0, 3.0, 1.0).hamiltonian(), 50)
+    data = matrix.data.copy()
+    data[0, -1] = 1e-6
+    sizes = count_eigh(monkeypatch)
+    with pytest.raises(DiagonalizationError, match="not Hermitian"):
+        diagonalize(dataclasses.replace(matrix, data=data))
+    # (20, 20) starts "auto" at 72: n_cut 50 is solved whole, and refused
+    with pytest.raises(TruncationError, match="n_cut=50 is too small"):
+        diagonalize(build_floquet_matrix(RashbaModel(20.0, 20.0, 1.0).hamiltonian(), 50))
+    assert sizes == [202]
