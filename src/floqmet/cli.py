@@ -248,7 +248,7 @@ def _model_values(args) -> dict:
 def cmd_build(args) -> int:
     model = make_model(args.model, _model_values(args))
     matrix = build_floquet_matrix(model, args.ncut)
-    if matrix.model is not None:  # "auto": the matrix at the n_cut it resolves to
+    if matrix.auto:  # the matrix at the n_cut it resolves to
         matrix = build_floquet_matrix(model, diagonalize(matrix).n_cut)
     rows = [{"dim": matrix.dim, "n_cut": matrix.n_cut, "levels": matrix.levels,
              "omega": matrix.omega,

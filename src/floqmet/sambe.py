@@ -8,7 +8,8 @@ The Fourier axis is truncated to |k| <= n_cut.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -104,13 +105,6 @@ class PeriodicHamiltonian:
             max_harmonic=self.max_harmonic,
         )
 
-    def check_hermiticity(self) -> None:
-        for n in range(self.max_harmonic + 1):
-            defect = np.max(np.abs(self.component(-n) - self.component(n).conj().T))
-            if defect > HERMITICITY_TOL:
-                raise FloquetBuildError(
-                    f"Fourier set is not Hermitian: |H(-{n}) - H({n})^dag| = {defect:.3e}")
-
 
 def _param_value(model: PeriodicHamiltonian, name: str) -> float:
     """model.params[name], with a KeyError naming an unknown parameter."""
@@ -121,74 +115,79 @@ def _param_value(model: PeriodicHamiltonian, name: str) -> float:
 
 @dataclass
 class FloquetMatrix:
-    """Dense truncated Floquet Hamiltonian, index (k + n_cut) * levels + gamma.
-
-    `model` is set only when n_cut was "auto": `diagonalize` then rebuilds
-    the matrix from it, larger, until its physical modes are resolved.
-    """
+    """Truncated Floquet Hamiltonian, kept as its Fourier set `components`,
+    H^(n) for n = -h..h (real when every one is real).  `assemble` builds the
+    dense M at any n_cut, index (k + n_cut) * levels + gamma; `data`, M at
+    `n_cut`, is assembled on first read.  `diagonalize` grows an `auto` n_cut."""
 
     n_cut: int
     levels: int
     omega: float
-    data: np.ndarray = field(repr=False)
-    model: PeriodicHamiltonian | None = field(default=None, repr=False)
+    components: np.ndarray = field(repr=False)
+    auto: bool = False
 
     @property
     def dim(self) -> int:
         return self.levels * (2 * self.n_cut + 1)
 
+    @cached_property
+    def data(self) -> np.ndarray:
+        return self.assemble(self.n_cut)
+
+    def assemble(self, n_cut: int) -> np.ndarray:
+        """The dense M at `n_cut`: block (k, m) is H^(k-m), plus the k*omega
+        identity ladder on the diagonal blocks."""
+        nl, ns, h = self.levels, 2 * n_cut + 1, len(self.components) // 2
+        data = np.zeros((ns, nl, ns, nl), dtype=self.components.dtype)
+        blocks = data.transpose(0, 2, 1, 3)  # [k, m, gamma, beta], a view of data
+        for n, component in zip(range(-h, h + 1), self.components):
+            k = np.arange(max(n, 0), ns + min(n, 0))
+            blocks[k, k - n] = component
+        k = np.arange(ns)
+        blocks[k, k] += (k - n_cut)[:, None, None] * self.omega * np.eye(nl)
+        return data.reshape(ns * nl, ns * nl)
+
     def hermiticity_defect(self) -> float:
-        """max |M - M^dag|, taken in row blocks of the upper triangle against
-        their mirror columns, so that both stay in cache."""
-        d, rows = self.data, 64
-        return float(np.max([np.abs(d[i:i + rows, i:] - d[i:, i:i + rows].conj().T).max()
-                             for i in range(0, len(d), rows)]))
+        """max |M - M^dag| of `data`."""
+        return float(np.abs(self.data - self.data.conj().T).max())
+
+
+def fourier_defect(components) -> float:
+    """max_n |H^(-n) - H^(n)^dag| of a Fourier set: 0 exactly when every M is Hermitian."""
+    return float(np.abs(components[::-1] - components.conj().swapaxes(1, 2)).max())
 
 
 def first_n_cut(components, omega: float) -> int:
     """"auto"'s first n_cut for the Fourier components H^(n), n = -h..h:
     ceil(sum_n ||H^(n)|| / omega) + AUTO_MARGIN (spectral norms), at least h
     and AUTO_MIN_N_CUT and at most AUTO_MAX_N_CUT."""
-    norms = sum(np.linalg.norm(h, 2) for h in components)
+    norms = sum(np.linalg.norm(h, 2) for h in np.asarray(components, dtype=complex))
     guess = max(len(components) // 2, AUTO_MIN_N_CUT, math.ceil(norms / omega) + AUTO_MARGIN)
     return min(guess, AUTO_MAX_N_CUT)
 
 
 def build_floquet_matrix(model: PeriodicHamiltonian, n_cut: int | str) -> FloquetMatrix:
-    """Assemble the truncated Sambe-space matrix for `model`.
-
-    Block (k, m) is H^(k-m) plus the k*omega identity ladder on the diagonal
-    blocks.  Rejects truncations that would drop nonzero couplings.  The
-    matrix is real (float64) when every Fourier component is real, as for
-    drives with H(t)* = H(-t), and complex otherwise.  n_cut "auto" starts
-    from `first_n_cut` and keeps the model, so that `diagonalize` can grow it.
-    """
-    if isinstance(n_cut, str) and n_cut == "auto":
-        components = [model.component(n)
-                      for n in range(-model.max_harmonic, model.max_harmonic + 1)]
-        return replace(build_floquet_matrix(model, first_n_cut(components, model.omega)),
-                       model=model)
-    if isinstance(n_cut, bool) or not isinstance(n_cut, (int, np.integer)):
+    """The truncated Sambe-space matrix of `model`, as its checked Fourier set:
+    real (float64) when every component is real, as for drives with
+    H(t)* = H(-t), and complex otherwise.  Rejects truncations that would drop
+    nonzero couplings, and sets with H^(-n) != H^(n)^dagger.  n_cut "auto"
+    starts from `first_n_cut`."""
+    auto = isinstance(n_cut, str) and n_cut == "auto"
+    if not auto and (isinstance(n_cut, bool) or not isinstance(n_cut, (int, np.integer))):
         raise FloquetBuildError(f"n_cut={n_cut!r} must be an integer or 'auto'")
-    if n_cut < model.max_harmonic:
-        raise FloquetBuildError(
-            f"n_cut={n_cut} would drop couplings up to harmonic {model.max_harmonic}")
-    model.check_hermiticity()
-
-    nl, ns = model.levels, 2 * n_cut + 1
-    harmonics = range(-model.max_harmonic, model.max_harmonic + 1)
-    components = np.array([model.component(n) for n in harmonics])
+    h = model.max_harmonic
+    if not auto and n_cut < h:
+        raise FloquetBuildError(f"n_cut={n_cut} would drop couplings up to harmonic {h}")
+    components = np.array([model.component(n) for n in range(-h, h + 1)])
+    defect = fourier_defect(components)
+    if defect > HERMITICITY_TOL:
+        raise FloquetBuildError(f"Fourier set is not Hermitian: |H(-n) - H(n)^dag| = {defect:.3e}")
+    if auto:
+        n_cut = first_n_cut(components, model.omega)
     if not components.imag.any():
         components = components.real
-    data = np.zeros((ns, nl, ns, nl), dtype=components.dtype)
-    blocks = data.transpose(0, 2, 1, 3)  # [k, m, gamma, beta], a view of data
-    for n, h in zip(harmonics, components):
-        k = np.arange(max(n, 0), ns + min(n, 0))
-        blocks[k, k - n] = h
-    k = np.arange(ns)
-    blocks[k, k] += (k - n_cut)[:, None, None] * model.omega * np.eye(nl)
-    data = data.reshape(ns * nl, ns * nl)
-    return FloquetMatrix(n_cut=n_cut, levels=nl, omega=model.omega, data=data)
+    return FloquetMatrix(n_cut=n_cut, levels=model.levels, omega=model.omega,
+                         components=components, auto=auto)
 
 
 def fourier_components_from_timedomain(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .reference import unitarity_defect
 from . import sambe
-from .sambe import FloquetMatrix, build_floquet_matrix
+from .sambe import FloquetMatrix
 
 DEFECT_TOL = 1e-6
 # An "auto" truncation grows until the physical modes' largest edge weight is
@@ -17,10 +17,11 @@ DEFECT_TOL = 1e-6
 # 1.5e-10.
 EDGE_TOL = 1e-24
 # A window's N modes are kept when each, zero-padded, is an eigenpair of M_n
-# within RESIDUAL_TOL eps ||M_n||_inf (see `_windowed`).  Kept windows read
-# 0.2-1.5 of that unit and dense solves 0.1-1.3 (Rashba, (0.5, 1) to (20, 20),
-# n_cut 50-200); windows cut short read 21 to 9e7 and moved U and the
-# estimates by up to 1.3e-14 relative per unit, so 16 allows about 2e-13.
+# within RESIDUAL_TOL eps ||M_w||_inf (see `_windowed`): like the residual once
+# n >= w + h, that limit does not depend on n.  Kept windows read 0.6-3.2 of
+# that unit (Rashba, (0.5, 1) to (30, 1), n_cut 50-400); windows cut short
+# read 27 to 1e9 and moved U(T) by up to 1e-15 per unit against the dense
+# solve at n_cut 120, so 16 allows about 1.6e-14.
 RESIDUAL_TOL = 16
 
 
@@ -61,12 +62,11 @@ class FloquetSpectrum:
     [k, level, mode] (complex128), `quasienergies` and `u0` [level, mode];
     `modes_at` evaluates them.  Immutable, so shared freely.
 
-    `window` is the n_cut of the central block of M_n that was diagonalized
-    (None: n_cut itself); `eigenvectors`, `sector_view`, `k` and `phi` cover
-    its 2 window + 1 sectors, and edge weights are read on its two outermost
-    ones.  A spectrum whose window is below n_cut holds just the N certified
-    eigenpairs of M_n, which vanish outside the window; its `dim` and
-    `n_sectors` describe M_n.
+    `window` is the n_cut of the M_w that was diagonalized (None: n_cut);
+    `eigenvectors`, `sector_view`, `k` and `phi` cover its 2 window + 1
+    sectors, the central ones of M_n, and edge weights are read on its two
+    outermost.  Below n_cut it holds just the N certified eigenpairs of M_n,
+    zero outside the window; `dim` and `n_sectors` describe M_n.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -156,17 +156,16 @@ def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
     """Exact diagonalization of the (Hermitian) truncated Floquet matrix;
     `TruncationError` when its physical modes fail the certificate.
 
-    A real symmetric matrix runs the real solver and keeps its real
-    eigenvector table; only the N-mode table `phi` is made complex.  An
-    explicit n_cut n is solved on the window of "auto"'s first n_cut for the
-    same drive (`_window`) when that is below n, as `_solve` says.  A matrix
-    built at n_cut "auto" (it keeps its model) is solved whole, and rebuilt
-    larger, as `_grown_n_cut` says, until the certificate passes and the
-    modes' edge weight is below EDGE_TOL; past sambe.AUTO_MAX_N_CUT it is a
-    `TruncationError`.
+    Only the matrix handed to `eigh` is assembled.  A real set runs the real
+    solver and keeps its real eigenvector table; only the N-mode table `phi`
+    is made complex.  An explicit n_cut n is solved on the window of "auto"'s
+    first n_cut (`sambe.first_n_cut`) when that is below n, as `_solve` says.
+    "auto" is solved whole and grown, as `_grown_n_cut` says, until the
+    certificate passes and the modes' edge weight is below EDGE_TOL; past
+    sambe.AUTO_MAX_N_CUT it is a `TruncationError`.
     """
-    if matrix.model is None:
-        return _solve(matrix, _window(matrix))
+    if not matrix.auto:
+        return _solve(matrix, sambe.first_n_cut(matrix.components, matrix.omega))
     while True:
         try:
             spectrum = _solve(matrix, matrix.n_cut)
@@ -180,7 +179,7 @@ def diagonalize(matrix: FloquetMatrix) -> FloquetSpectrum:
                 f"n_cut='auto' needs more than {sambe.AUTO_MAX_N_CUT}: at n_cut={matrix.n_cut} "
                 + (f"the edge weight is {spectrum.edge_weight:.2e} (limit {EDGE_TOL})"
                    if spectrum is not None else "the certificate fails") + "; pass an explicit n_cut")
-        matrix = replace(build_floquet_matrix(matrix.model, n_cut), model=matrix.model)
+        matrix = replace(matrix, n_cut=n_cut)
 
 
 def _grown_n_cut(n_cut: int, spectrum: FloquetSpectrum | None) -> int:
@@ -199,22 +198,14 @@ def _grown_n_cut(n_cut: int, spectrum: FloquetSpectrum | None) -> int:
     return n_cut + min(max(step, 1), limit)
 
 
-def _window(matrix: FloquetMatrix) -> int:
-    """`sambe.first_n_cut` of the drive of `matrix`, from the Fourier components
-    H^(m) read off the block column of sector 0, whose ladder term is 0."""
-    n, nl = matrix.n_cut, matrix.levels
-    column = matrix.data[:, n * nl:(n + 1) * nl].reshape(-1, nl, nl)
-    reach = np.abs(np.flatnonzero(column.any(axis=(1, 2))) - n).max(initial=0)
-    return sambe.first_n_cut(column[n - reach:n + reach + 1].astype(complex), matrix.omega)
-
-
 def _solve(matrix: FloquetMatrix, window: int) -> FloquetSpectrum:
-    """The certified spectrum of the Hermitian M_n = `matrix`: `_windowed` when
-    `window` is below n and its modes pass, otherwise the dense `eigh` of M_n."""
-    defect = matrix.hermiticity_defect()
+    """The certified spectrum of M_n, n = `matrix.n_cut`, from a Hermitian
+    Fourier set: `_windowed` when `window` is below n and its modes pass,
+    otherwise the dense `eigh` of M_n, the one place M_n is assembled."""
+    defect = sambe.fourier_defect(matrix.components)
     if defect > 1e-10:
         raise DiagonalizationError(
-            f"matrix is not Hermitian (defect {defect:.3e})")
+            f"matrix is not Hermitian (Fourier set defect {defect:.3e})")
     spectrum = _windowed(matrix, window) if window < matrix.n_cut else None
     if spectrum is not None:
         return spectrum
@@ -228,24 +219,32 @@ def _solve(matrix: FloquetMatrix, window: int) -> FloquetSpectrum:
 
 
 def _windowed(matrix: FloquetMatrix, window: int) -> FloquetSpectrum | None:
-    """The N physical modes of M_w, the central 2 `window` + 1 sectors of M_n
-    (equal to M_w built directly), as eigenpairs of M_n: None when M_w's
-    certificate fails or a mode, zero-padded to M_n's sectors, has a residual
-    |M_n phi - lam phi| above RESIDUAL_TOL eps ||M_n||_inf."""
-    n, nl = matrix.n_cut, matrix.levels
-    block = slice((n - window) * nl, (n + window + 1) * nl)
+    """The N physical modes of M_w, M assembled at n_cut w = `window`, as
+    eigenpairs of M_n: None when M_w's certificate fails or a mode's residual
+    on M_n (`_residuals`) is above RESIDUAL_TOL eps ||M_w||_inf."""
+    block = matrix.assemble(window)
     try:
-        inner = FloquetSpectrum(*np.linalg.eigh(matrix.data[block, block]),
-                                window, nl, matrix.omega)
+        inner = FloquetSpectrum(*np.linalg.eigh(block), window, matrix.levels, matrix.omega)
     except (np.linalg.LinAlgError, TruncationError):
         return None
-    lam, vectors = inner.quasienergies, inner.eigenvectors[:, inner.modes]
-    residual = matrix.data[:, block] @ vectors
-    residual[block] -= vectors * lam
-    scale = np.abs(matrix.data).sum(axis=1).max()
-    if np.linalg.norm(residual, axis=0).max() > RESIDUAL_TOL * np.finfo(float).eps * scale:
-        return None
-    return FloquetSpectrum(lam, vectors, n, nl, matrix.omega, window)
+    spectrum = FloquetSpectrum(inner.quasienergies, inner.eigenvectors[:, inner.modes],
+                               matrix.n_cut, matrix.levels, matrix.omega, window)
+    limit = RESIDUAL_TOL * np.finfo(float).eps * np.abs(block).sum(axis=1).max()
+    return spectrum if _residuals(matrix, spectrum).max() <= limit else None
+
+
+def _residuals(matrix: FloquetMatrix, spectrum: FloquetSpectrum) -> np.ndarray:
+    """|M_n phi_a - lam_a phi_a| per mode of a window `spectrum`, from the
+    Fourier set: sector k of M_n phi is sum_m H^(m) phi_{k-m} + k omega phi_k,
+    and phi is zero outside the window w, so only |k| <= min(n, w + h) count."""
+    h, w = len(matrix.components) // 2, spectrum.window
+    rows = w + min(matrix.n_cut - w, h)
+    phi = np.pad(spectrum.phi, ((rows - w + h,) * 2, (0, 0), (0, 0)))
+    k = np.arange(-rows, rows + 1)[:, None, None]
+    out = phi[h:len(phi) - h] * (k * matrix.omega - spectrum.quasienergies)
+    for m, component in zip(range(-h, h + 1), matrix.components):
+        out += component @ phi[h - m:len(phi) - h - m]
+    return np.linalg.norm(out, axis=(0, 1))
 
 
 @dataclass

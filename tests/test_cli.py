@@ -792,18 +792,51 @@ def test_stepsize_study_builds_at_one_n_cut(monkeypatch):
     assert calls == ["auto"] + [resolved] * 6
 
 
+def record_assembly(monkeypatch) -> list:
+    """The dim of every dense Floquet matrix assembled from here on."""
+    dims = []
+    assemble = sambe.FloquetMatrix.assemble
+
+    def recording(matrix, n_cut):
+        dims.append(matrix.levels * (2 * n_cut + 1))
+        return assemble(matrix, n_cut)
+
+    monkeypatch.setattr(sambe.FloquetMatrix, "assemble", recording)
+    return dims
+
+
 def test_deep_explicit_ncut_solves_one_small_window(monkeypatch, tmp_path):
     # (9, 9) at n_cut 200 is solved on the 79 central sectors of "auto"'s
-    # first n_cut, 39: one eigh of dim 158, none of dim 802
+    # first n_cut, 39: one eigh of dim 158, none of dim 802, and M_200 is
+    # never assembled
     sizes = count_eigh(monkeypatch)
+    dims = record_assembly(monkeypatch)
     out = tmp_path / "qfi.csv"
     assert main(["qfi", "--b0", "9", "--b1", "9", "--ncut", "200",
                  "--out", str(out)]) == 0
-    assert sizes == [2 * (2 * 39 + 1)]
+    assert sizes == [2 * (2 * 39 + 1)] and dims == [2 * (2 * 39 + 1)]
     with out.open(newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["error"] == "" and row["n_cut"] == "200"
     assert float(row["edge_weight"]) < spectral.EDGE_TOL
+
+
+@pytest.mark.parametrize("argv, row, dims", [
+    (["--b0", "9", "--b1", "9", "--ncut", "200"], "802,200,2,1,0", [802]),
+    (["--b0", "9", "--b1", "9"], "158,39,2,1,0", [158, 158]),
+    (["--model", "rotating", "--ncut", "30"], "122,30,2,1,0", [122]),
+    (["--model", "rotating"], "146,36,2,1,0", [146, 146]),
+])
+def test_build_assembles_the_matrix_it_writes(argv, row, dims, monkeypatch, tmp_path):
+    # `build` is where M_n is assembled: its row reads the dense matrix at
+    # the n_cut used ("auto" solves it once first), with the values the
+    # dense build always wrote
+    assembled = record_assembly(monkeypatch)
+    out = tmp_path / "build.csv"
+    assert main(["build", *argv, "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == [
+        "dim,n_cut,levels,omega,hermiticity_defect", row]
+    assert assembled == dims
 
 
 def test_stepsize_study_solves_every_spectrum_on_one_block(monkeypatch):

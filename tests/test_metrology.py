@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from floqmet import metrology, propagator, reference, spectral
+from floqmet import metrology, propagator, reference, sambe, spectral
 from floqmet.metrology import (TIME_BLOCK, EstimationSession, GeneratorSet,
                                InvariantViolation, estimation_report,
                                incompatibility, local_mean, qfi)
@@ -831,7 +831,7 @@ def test_window_matches_the_dense_solve(name, model, n_cut, monkeypatch):
     windowed = EstimationSession(model, params, n_cut)
     assert windowed.center.window == build_floquet_matrix(model, "auto").n_cut < n_cut
     with monkeypatch.context() as patch:
-        patch.setattr(spectral, "_window", lambda matrix: matrix.n_cut)
+        patch.setattr(sambe, "first_n_cut", lambda components, omega: n_cut)
         dense = EstimationSession(model, params, n_cut)
     assert dense.center.window == n_cut
     got, want = windowed.evaluate(probe, times), dense.evaluate(probe, times)

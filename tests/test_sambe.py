@@ -171,7 +171,7 @@ def test_blocked_hermiticity_defect_is_the_one_pass_value(dim, dtype):
     data = data + data.conj().T
     data[dim - 1, 0] += 1e-9 * (1 + 1j if dtype is complex else 1)
     for d in (data, np.where(np.eye(dim, k=-1), np.nan, data)):
-        matrix = FloquetMatrix(n_cut=0, levels=dim, omega=1.0, data=d)
+        matrix = FloquetMatrix(n_cut=0, levels=dim, omega=1.0, components=d[None])
         want = float(np.max(np.abs(d - d.conj().T)))
         np.testing.assert_array_equal(matrix.hermiticity_defect(), want)
 

@@ -12,6 +12,7 @@ from floqmet.sambe import FloquetMatrix, build_floquet_matrix
 from floqmet.spectral import (DiagonalizationError, FloquetSpectrum,
                               TruncationError, amplitude_table, diagonalize,
                               fold_to_fbz)
+from test_metrology import random_drive
 
 
 def count_eigh(monkeypatch) -> list:
@@ -54,9 +55,8 @@ def test_static_spectrum_ladder():
 def test_real_and_complex_solvers_agree(model):
     matrix = build_floquet_matrix(model, 10)
     spectrum = diagonalize(matrix)
-    complex_spectrum = diagonalize(FloquetMatrix(
-        n_cut=matrix.n_cut, levels=matrix.levels, omega=matrix.omega,
-        data=matrix.data.astype(complex)))
+    complex_spectrum = diagonalize(dataclasses.replace(
+        matrix, components=matrix.components.astype(complex)))
     assert spectrum.phi.dtype == np.complex128
     np.testing.assert_allclose(spectrum.eigenvalues,
                                complex_spectrum.eigenvalues, rtol=0, atol=1e-12)
@@ -68,7 +68,7 @@ def test_real_and_complex_solvers_agree(model):
 
 def test_diagonalize_rejects_non_hermitian():
     data = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    bad = FloquetMatrix(n_cut=0, levels=2, omega=1.0, data=data)
+    bad = FloquetMatrix(n_cut=0, levels=2, omega=1.0, components=data[None])
     with pytest.raises(DiagonalizationError):
         diagonalize(bad)
 
@@ -159,7 +159,7 @@ def test_diagonalize_certifies_the_spectrum():
 def test_auto_truncation_resolves_the_edge_weight(b0, b1, monkeypatch):
     model = RashbaModel(b0, b1, 1.0).hamiltonian()
     matrix = build_floquet_matrix(model, "auto")
-    assert matrix.model is model
+    assert matrix.auto
     assert matrix.n_cut == max(sambe.AUTO_MIN_N_CUT,  # sum |H^(n)| is 2 b0 + b1
                                math.ceil(2 * b0 + b1) + sambe.AUTO_MARGIN)
     sizes = count_eigh(monkeypatch)
@@ -176,7 +176,7 @@ def test_auto_truncation_resolves_the_edge_weight(b0, b1, monkeypatch):
 
 def test_explicit_n_cut_is_not_grown(monkeypatch):
     matrix = build_floquet_matrix(RashbaModel(5.0, 5.0, 1.0).hamiltonian(), 20)
-    assert matrix.model is None
+    assert not matrix.auto
     spectrum = diagonalize(matrix)
     assert spectrum.n_cut == 20 and spectrum.edge_weight > spectral.EDGE_TOL
     with pytest.raises(sambe.FloquetBuildError,
@@ -213,7 +213,7 @@ def test_window_holds_the_physical_modes_of_the_deep_matrix(monkeypatch):
     model = RashbaModel(9.0, 9.0, 1.0).hamiltonian()
     matrix = build_floquet_matrix(model, 200)
     window = build_floquet_matrix(model, "auto").n_cut
-    assert window == spectral._window(matrix) == 39
+    assert window == sambe.first_n_cut(matrix.components, matrix.omega) == 39
     inner = build_floquet_matrix(model, window)
     block = slice(2 * (200 - window), 2 * (200 + window + 1))
     np.testing.assert_array_equal(matrix.data[block, block], inner.data)
@@ -239,14 +239,14 @@ def test_window_holds_the_physical_modes_of_the_deep_matrix(monkeypatch):
 @pytest.mark.parametrize("case", ["no-residual-allowed", "window-too-small"])
 def test_failed_window_falls_back_to_the_dense_solve(case, monkeypatch):
     # at (10, 10) and n_cut 120 a window of 34 passes its own certificate,
-    # but its modes leave a residual of 2e4 eps ||M_n|| on M_120
+    # but its modes leave a residual of 5.8e4 eps ||M_34||_inf on M_120
     matrix = build_floquet_matrix(RashbaModel(10.0, 10.0, 1.0).hamiltonian(), 120)
     want = FloquetSpectrum(*np.linalg.eigh(matrix.data), 120, 2, 1.0)
     if case == "no-residual-allowed":
         monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
     else:
-        monkeypatch.setattr(spectral, "_window", lambda _matrix: 34)
-    window = spectral._window(matrix)
+        monkeypatch.setattr(sambe, "first_n_cut", lambda _components, _omega: 34)
+    window = sambe.first_n_cut(matrix.components, matrix.omega)
     sizes = count_eigh(monkeypatch)
     got = diagonalize(matrix)
     assert sizes == [2 * (2 * window + 1), matrix.dim]
@@ -260,7 +260,7 @@ def test_failed_window_falls_back_to_the_dense_solve(case, monkeypatch):
                                            (10.0, 10.0, 42)])
 def test_explicit_n_cut_up_to_the_window_is_one_dense_eigh(b0, b1, n_cut, monkeypatch):
     matrix = build_floquet_matrix(RashbaModel(b0, b1, 1.0).hamiltonian(), n_cut)
-    assert spectral._window(matrix) >= n_cut
+    assert sambe.first_n_cut(matrix.components, matrix.omega) >= n_cut
     want = FloquetSpectrum(*np.linalg.eigh(matrix.data), n_cut, 2, 1.0)
     sizes = count_eigh(monkeypatch)
     got = diagonalize(matrix)
@@ -270,14 +270,66 @@ def test_explicit_n_cut_up_to_the_window_is_one_dense_eigh(b0, b1, n_cut, monkey
 
 
 def test_window_keeps_the_refusals(monkeypatch):
-    # a non-Hermitian matrix is refused before any eigh, at any n_cut
-    matrix = build_floquet_matrix(RashbaModel(3.0, 3.0, 1.0).hamiltonian(), 50)
-    data = matrix.data.copy()
-    data[0, -1] = 1e-6
+    # a non-Hermitian Fourier set is refused before any eigh, at any n_cut
     sizes = count_eigh(monkeypatch)
-    with pytest.raises(DiagonalizationError, match="not Hermitian"):
-        diagonalize(dataclasses.replace(matrix, data=data))
+    for n_cut in (50, 200):
+        matrix = build_floquet_matrix(RashbaModel(3.0, 3.0, 1.0).hamiltonian(), n_cut)
+        components = matrix.components.copy()
+        components[0, 0, 1] += 1e-6  # H^(-1) against H^(1)^dag
+        with pytest.raises(DiagonalizationError, match="not Hermitian"):
+            diagonalize(dataclasses.replace(matrix, components=components))
     # (20, 20) starts "auto" at 72: n_cut 50 is solved whole, and refused
     with pytest.raises(TruncationError, match="n_cut=50 is too small"):
         diagonalize(build_floquet_matrix(RashbaModel(20.0, 20.0, 1.0).hamiltonian(), 50))
     assert sizes == [202]
+
+
+def test_window_solve_does_not_depend_on_n(monkeypatch):
+    # (9, 9): every n above the window 39 solves the same M_39 and keeps the
+    # same modes
+    model = RashbaModel(9.0, 9.0, 1.0).hamiltonian()
+    sizes = count_eigh(monkeypatch)
+    spectra = [diagonalize(build_floquet_matrix(model, n)) for n in (41, 51, 200, 400)]
+    assert sizes == [158] * 4
+    for spectrum in spectra[1:]:
+        for name in ("quasienergies", "phi", "u0"):
+            np.testing.assert_array_equal(getattr(spectrum, name), getattr(spectra[0], name))
+
+
+@pytest.mark.parametrize("b, short, n_cuts", [((10.0, 10.0), 34, (120, 400)),
+                                               ((7.5, 5.0), 34, (51, 120, 400))])
+def test_window_verdict_does_not_grow_with_n(b, short, n_cuts):
+    # the residual past n = w + h and the limit RESIDUAL_TOL eps ||M_w||_inf
+    # are both independent of n, so a window cut short is refused at every
+    # n and "auto"'s first n_cut kept.  At (10, 10) the window of 34 reads
+    # 5.8e4 units; at (7.5, 5) it reads 26.7, which against eps ||M_n||_inf
+    # would be 19.6 at n = 51 but 3.0 at n = 400, kept there
+    model = RashbaModel(*b, 1.0).hamiltonian()
+    window = build_floquet_matrix(model, "auto").n_cut
+    for n in n_cuts:
+        matrix = build_floquet_matrix(model, n)
+        assert spectral._windowed(matrix, short) is None
+        assert spectral._windowed(matrix, window).window == window
+
+
+@pytest.mark.parametrize("model, short", [(RashbaModel(9.0, 9.0, 1.0).hamiltonian(), 31),
+                                          (random_drive(3, 2, seed=3), 20)],
+                         ids=["rashba-9-9", "drive-3-2"])
+def test_block_residual_is_the_dense_residual(model, short):
+    # the residual formed from the Fourier blocks is |M_n phi - lam phi| of
+    # the window's modes zero-padded to M_n, at n = w + 1, w + h and 200, for
+    # "auto"'s first n_cut (about 3e-14) and a window cut short (7e-9 and 4e-10)
+    h, nl = model.max_harmonic, model.levels
+    for window in (build_floquet_matrix(model, "auto").n_cut, short):
+        inner_matrix = build_floquet_matrix(model, window)
+        inner = diagonalize(inner_matrix)
+        lam, vectors = inner.quasienergies, inner.eigenvectors[:, inner.modes]
+        scale = np.finfo(float).eps * np.abs(inner_matrix.data).sum(axis=1).max()
+        for n in sorted({window + 1, window + h, 200}):
+            matrix = build_floquet_matrix(model, n)
+            spectrum = FloquetSpectrum(lam, vectors, n, nl, model.omega, window)
+            padded = np.zeros((matrix.dim, nl), dtype=complex)
+            padded[(n - window) * nl:(n + window + 1) * nl] = vectors
+            dense = np.linalg.norm(matrix.data @ padded - padded * lam, axis=0)
+            np.testing.assert_allclose(spectral._residuals(matrix, spectrum), dense,
+                                       rtol=0, atol=2 * scale)
